@@ -200,18 +200,16 @@ CoreFastResult build_shortcut_random(sim::Engine& eng,
     vcfg.seed = rng.next_u64();
     const auto verdict = verify_block_parameter(eng, p, d, candidate, t,
                                                 3 * cfg.block_target, vcfg);
+    std::vector<char> newly_frozen(p.num_parts, 0);
     for (int i = 0; i < p.num_parts; ++i) {
       if (out.part_frozen[i] || !participating[i]) continue;
       if (!verdict.part_good[i]) continue;
       out.part_frozen[i] = 1;
       out.frozen_at[i] = iter;
-      // Line 6: the newly frozen part keeps its candidate edges.
-      for (int v = 0; v < g.n(); ++v) {
-        if (!candidate.edge_in_part(v, i)) continue;
-        auto& parts = out.sc.parts_on[v];
-        parts.insert(std::upper_bound(parts.begin(), parts.end(), i), i);
-      }
+      newly_frozen[i] = 1;
     }
+    // Line 6: the newly frozen parts keep their candidate edges.
+    shortcut::adopt_parts(out.sc, candidate, newly_frozen);
   }
 
   for (int i = 0; i < p.num_parts; ++i)

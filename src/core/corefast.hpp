@@ -13,9 +13,12 @@
 // Algorithm 4's loop: every active part participates in an iteration with
 // probability 1/2 (the contention-halving that [19, Lemma 4] supplies);
 // claimed candidates are verified with Algorithm 2, and parts whose block
-// count lands within 3·b_target freeze their edges and go inactive. After
-// O(log n) iterations all parts are frozen w.h.p.; per-edge congestion grows
-// by at most `congestion_cap` per iteration, i.e. Õ(c) overall.
+// count lands within 3·b_target freeze their edges and go inactive (line 6:
+// shortcut::adopt_parts copies every part frozen in an iteration into the
+// result in one O(n + claims) pass, the same helper the doubling trick in
+// PaSolver and Algorithm 8 use). After O(log n) iterations all parts are
+// frozen w.h.p.; per-edge congestion grows by at most `congestion_cap` per
+// iteration, i.e. Õ(c) overall.
 #pragma once
 
 #include "src/core/pa_given.hpp"

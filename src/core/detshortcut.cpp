@@ -175,17 +175,15 @@ DetShortcutResult build_shortcut_det(sim::Engine& eng,
     vcfg.mode = cfg.mode;
     const auto verdict = verify_block_parameter(eng, p, d, candidate, t,
                                                 3 * cfg.block_target, vcfg);
+    std::vector<char> newly_frozen(p.num_parts, 0);
     for (int i = 0; i < p.num_parts; ++i) {
       if (settled[i] || !verdict.part_good[i]) continue;
       settled[i] = 1;
       out.part_frozen[i] = 1;
       out.frozen_at[i] = rep;
-      for (int v = 0; v < g.n(); ++v) {
-        if (!candidate.edge_in_part(v, i)) continue;
-        auto& parts = out.sc.parts_on[v];
-        parts.insert(std::upper_bound(parts.begin(), parts.end(), i), i);
-      }
+      newly_frozen[i] = 1;
     }
+    shortcut::adopt_parts(out.sc, candidate, newly_frozen);
   }
 
   shortcut::annotate_block_roots(g, t, out.sc);

@@ -106,17 +106,15 @@ void PaSolver::build_shortcut() {
       round_frozen = std::move(round.part_frozen);
       round_sc = std::move(round.sc);
     }
+    std::vector<char> newly_frozen(part_.num_parts, 0);
     for (int i = 0; i < part_.num_parts; ++i) {
       if (frozen[i] || !round_frozen[i]) continue;
       frozen[i] = 1;
       st_.frozen_at_guess[i] = guess;
       st_.final_guess = std::max(st_.final_guess, guess);
-      for (int v = 0; v < g.n(); ++v) {
-        if (!round_sc.edge_in_part(v, i)) continue;
-        auto& parts = st_.sc.parts_on[v];
-        parts.insert(std::upper_bound(parts.begin(), parts.end(), i), i);
-      }
+      newly_frozen[i] = 1;
     }
+    shortcut::adopt_parts(st_.sc, round_sc, newly_frozen);
   }
   shortcut::annotate_block_roots(g, st_.t, st_.sc);
   st_.shortcut_stats = eng_->since(snap);

@@ -5,8 +5,16 @@
 
 namespace pw::graph {
 
+void Graph::check_edge_count(std::size_t m) {
+  PW_CHECK_MSG(m <= kMaxEdges,
+               "graph too large: %zu edges, but its 2m arcs need int ids "
+               "(at most %zu edges)",
+               m, kMaxEdges);
+}
+
 Graph Graph::from_edges(int n, std::vector<Edge> edges) {
   PW_CHECK(n >= 0);
+  check_edge_count(edges.size());
   Graph g;
   g.n_ = n;
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -37,6 +38,14 @@ class Graph {
   // allowed by the representation but rejected here because CONGEST
   // algorithms in this library assume simple graphs.
   static Graph from_edges(int n, std::vector<Edge> edges);
+
+  // Arc ids, ports and CSR offsets are ints, so the 2m arcs must fit in one.
+  static constexpr std::size_t kMaxEdges =
+      static_cast<std::size_t>(std::numeric_limits<int>::max()) / 2;
+
+  // Aborts with a clear message when m > kMaxEdges. from_edges calls it
+  // first, before any allocation sized by m.
+  static void check_edge_count(std::size_t m);
 
   int n() const { return n_; }
   int m() const { return static_cast<int>(edges_.size()); }

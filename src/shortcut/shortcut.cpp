@@ -77,6 +77,26 @@ void annotate_block_roots(const graph::Graph& g, const tree::SpanningForest& t,
   }
 }
 
+void adopt_parts(Shortcut& into, const Shortcut& candidate,
+                 const std::vector<char>& newly_frozen) {
+  PW_CHECK(into.n() == candidate.n());
+  const int num_parts = static_cast<int>(newly_frozen.size());
+  for (int v = 0; v < candidate.n(); ++v) {
+    auto& parts = into.parts_on[v];
+    const auto old_size = static_cast<std::ptrdiff_t>(parts.size());
+    for (int part : candidate.parts_on[v]) {
+      PW_CHECK(part >= 0 && part < num_parts);
+      if (newly_frozen[part]) parts.push_back(part);
+    }
+    if (static_cast<std::ptrdiff_t>(parts.size()) == old_size) continue;
+    // Both runs are sorted (the appended one because candidate lists are).
+    const auto mid = parts.begin() + old_size;
+    std::inplace_merge(parts.begin(), mid, parts.end());
+    PW_CHECK(std::adjacent_find(parts.begin(), parts.end()) == parts.end());
+    if (!into.block_root_depth_on.empty()) into.block_root_depth_on[v].clear();
+  }
+}
+
 void validate_shortcut(const graph::Graph& g, const tree::SpanningForest& t,
                        const graph::Partition& p, const Shortcut& s) {
   PW_CHECK(s.n() == g.n());

@@ -62,6 +62,18 @@ int block_parameter(const graph::Graph& g, const tree::SpanningForest& t,
 void annotate_block_roots(const graph::Graph& g, const tree::SpanningForest& t,
                           Shortcut& s);
 
+// The freeze step of every shortcut construction (Algorithm 4 line 6,
+// Algorithm 8 line 14, and the doubling trick in PaSolver): every part i
+// with newly_frozen[i] != 0 keeps its candidate edges, i.e. i is merged into
+// into.parts_on[v] for each v with i in candidate.parts_on[v]. Newly frozen
+// parts must not already appear in `into`. One pass over candidate.parts_on
+// that merges into the lists it grows: O(n + claims), claims counting the
+// entries of both shortcuts, however many parts freeze. Lists stay sorted;
+// the annotation of every list that grows is cleared, so callers run
+// annotate_block_roots once they stop adopting.
+void adopt_parts(Shortcut& into, const Shortcut& candidate,
+                 const std::vector<char>& newly_frozen);
+
 // Structural checks: part ids in range, lists sorted/unique, annotation
 // depths consistent with an actual walk of each block.
 void validate_shortcut(const graph::Graph& g, const tree::SpanningForest& t,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "src/graph/dsu.hpp"
@@ -206,6 +207,17 @@ TEST(PartitionDeathTest, DisconnectedPartAborts) {
   Graph g = gen::path(4);  // 0-1-2-3
   Partition p = Partition::from_labels({0, 1, 1, 0});  // part 0 = {0,3}: not connected
   EXPECT_DEATH(validate_partition(g, p), "not connected");
+}
+
+TEST(GraphDeathTest, ArcCountOverflowAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // The limit itself is accepted; one edge more would need 2m > INT_MAX.
+  Graph::check_edge_count(0);
+  Graph::check_edge_count(Graph::kMaxEdges);
+  EXPECT_GT(2 * (Graph::kMaxEdges + 1),
+            static_cast<std::size_t>(std::numeric_limits<int>::max()));
+  EXPECT_DEATH(Graph::check_edge_count(Graph::kMaxEdges + 1),
+               "graph too large: 1073741824 edges");
 }
 
 }  // namespace

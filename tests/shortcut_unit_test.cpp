@@ -2,6 +2,7 @@
 // existential construction (Definitions 2.1-2.3 made executable).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/graph/generators.hpp"
@@ -116,6 +117,155 @@ TEST(Shortcut, AnnotationMatchesRecomputation) {
     for (auto& x : d) x = -999;
   annotate_block_roots(f.g, f.t, corrupted);
   EXPECT_EQ(corrupted.block_root_depth_on, s.block_root_depth_on);
+}
+
+// Reference for adopt_parts: the per-part freeze loop the constructions ran
+// before it existed — one scan over all nodes per newly frozen part, with a
+// sorted insert wherever the candidate holds the part.
+void adopt_parts_reference(Shortcut& into, const Shortcut& candidate,
+                           const std::vector<char>& newly_frozen) {
+  for (int i = 0; i < static_cast<int>(newly_frozen.size()); ++i) {
+    if (!newly_frozen[i]) continue;
+    for (int v = 0; v < candidate.n(); ++v) {
+      if (!candidate.edge_in_part(v, i)) continue;
+      auto& parts = into.parts_on[v];
+      parts.insert(std::upper_bound(parts.begin(), parts.end(), i), i);
+    }
+  }
+}
+
+// A random T-restricted shortcut over the parts whose `allowed` flag is set:
+// each non-root tree edge carries each allowed part with probability `density`.
+Shortcut random_shortcut(const tree::SpanningForest& t,
+                         const std::vector<char>& allowed, double density,
+                         Rng& rng) {
+  const int n = static_cast<int>(t.parent.size());
+  auto s = Shortcut::empty(n);
+  for (int v = 0; v < n; ++v) {
+    if (t.parent[v] < 0) continue;
+    for (int i = 0; i < static_cast<int>(allowed.size()); ++i)
+      if (allowed[i] && rng.next_bool(density)) s.parts_on[v].push_back(i);
+  }
+  return s;
+}
+
+// A seeded G(n, m) with its BFS tree and 12-16 parts. The private
+// constructor lets one Rng feed both the graph and the partition.
+struct AdoptFixture : TreeFixture {
+  Partition p;
+  explicit AdoptFixture(std::uint64_t seed) : AdoptFixture(seed, Rng(seed)) {}
+
+ private:
+  AdoptFixture(std::uint64_t seed, Rng rng)
+      : TreeFixture(graph::gen::random_connected(90, 240, rng)),
+        p(graph::random_bfs_partition(g, 12 + static_cast<int>(seed % 5),
+                                      rng)) {}
+};
+
+// Runs adopt_parts and the reference on copies of `into` and checks the
+// results match exactly and form a valid shortcut (before and after
+// re-annotation).
+Shortcut expect_adopt_matches_reference(const AdoptFixture& f,
+                                        const Shortcut& into,
+                                        const Shortcut& candidate,
+                                        const std::vector<char>& newly_frozen) {
+  auto got = into;
+  adopt_parts(got, candidate, newly_frozen);
+  auto want = into;
+  adopt_parts_reference(want, candidate, newly_frozen);
+  EXPECT_EQ(got.parts_on, want.parts_on);
+  validate_shortcut(f.g, f.t, f.p, got);
+  annotate_block_roots(f.g, f.t, got);
+  validate_shortcut(f.g, f.t, f.p, got);
+  return got;
+}
+
+TEST(AdoptParts, MatchesPerPartLoopOnRandomShortcuts) {
+  for (std::uint64_t seed = 40; seed < 52; ++seed) {
+    AdoptFixture f(seed);
+    Rng rng(seed * 7 + 1);
+    // Earlier parts already sit in `into`; the rest may freeze now.
+    std::vector<char> earlier(f.p.num_parts), later(f.p.num_parts);
+    std::vector<char> newly_frozen(f.p.num_parts, 0);
+    for (int i = 0; i < f.p.num_parts; ++i) {
+      earlier[i] = rng.next_bool(0.4);
+      later[i] = !earlier[i];
+      newly_frozen[i] = later[i] && rng.next_bool(0.6);
+    }
+    auto into = random_shortcut(f.t, earlier, 0.3, rng);
+    annotate_block_roots(f.g, f.t, into);
+    const auto candidate = random_shortcut(f.t, later, 0.3, rng);
+    ASSERT_GT(congestion(candidate), 1) << seed;
+    const auto got =
+        expect_adopt_matches_reference(f, into, candidate, newly_frozen);
+    // Exactly the newly frozen parts were added, nothing else moved.
+    for (int v = 0; v < f.g.n(); ++v)
+      for (int i = 0; i < f.p.num_parts; ++i)
+        EXPECT_EQ(got.edge_in_part(v, i),
+                  into.edge_in_part(v, i) ||
+                      (newly_frozen[i] && candidate.edge_in_part(v, i)))
+            << "seed " << seed << " node " << v << " part " << i;
+  }
+}
+
+TEST(AdoptParts, NoPartNewlyFrozenLeavesShortcutUntouched) {
+  AdoptFixture f(60);
+  Rng rng(61);
+  std::vector<char> half(f.p.num_parts);
+  for (int i = 0; i < f.p.num_parts; ++i) half[i] = i % 2;
+  auto into = random_shortcut(f.t, half, 0.4, rng);
+  annotate_block_roots(f.g, f.t, into);
+  const auto candidate =
+      random_shortcut(f.t, std::vector<char>(f.p.num_parts, 1), 0.4, rng);
+  const auto got = expect_adopt_matches_reference(
+      f, into, candidate, std::vector<char>(f.p.num_parts, 0));
+  EXPECT_EQ(got.parts_on, into.parts_on);
+  EXPECT_EQ(got.block_root_depth_on, into.block_root_depth_on);
+}
+
+TEST(AdoptParts, AllPartsNewlyFrozenCopiesTheCandidate) {
+  AdoptFixture f(62);
+  Rng rng(63);
+  const std::vector<char> all(f.p.num_parts, 1);
+  const auto candidate = random_shortcut(f.t, all, 0.35, rng);
+  ASSERT_GT(congestion(candidate), 1);
+  const auto got = expect_adopt_matches_reference(
+      f, Shortcut::empty(f.g.n()), candidate, all);
+  EXPECT_EQ(got.parts_on, candidate.parts_on);
+}
+
+TEST(AdoptParts, NodesWithoutClaimsKeepTheirLists) {
+  AdoptFixture f(64);
+  Rng rng(65);
+  std::vector<char> earlier(f.p.num_parts, 0), later(f.p.num_parts, 0);
+  for (int i = 0; i < f.p.num_parts; ++i) (i < 4 ? earlier : later)[i] = 1;
+  auto into = random_shortcut(f.t, earlier, 0.5, rng);
+  annotate_block_roots(f.g, f.t, into);
+  // The candidate claims only the parent edges of even nodes.
+  auto candidate = random_shortcut(f.t, later, 0.5, rng);
+  for (int v = 1; v < f.g.n(); v += 2) candidate.parts_on[v].clear();
+  const auto got = expect_adopt_matches_reference(f, into, candidate, later);
+  int untouched = 0;
+  for (int v = 1; v < f.g.n(); v += 2) {
+    EXPECT_EQ(got.parts_on[v], into.parts_on[v]) << v;
+    untouched += into.parts_on[v].empty() ? 0 : 1;
+  }
+  EXPECT_GT(untouched, 0);  // the odd nodes did hold earlier parts
+  // Lists adopt_parts did not grow keep their annotation.
+  auto raw = into;
+  adopt_parts(raw, candidate, later);
+  for (int v = 1; v < f.g.n(); v += 2)
+    EXPECT_EQ(raw.block_root_depth_on[v], into.block_root_depth_on[v]) << v;
+}
+
+TEST(ShortcutDeathTest, AdoptingAnAlreadyPresentPartRejected) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  TreeFixture f(graph::gen::path(4));
+  auto into = Shortcut::empty(4);
+  into.parts_on[2] = {0};
+  auto candidate = Shortcut::empty(4);
+  candidate.parts_on[2] = {0};
+  EXPECT_DEATH(adopt_parts(into, candidate, {1}), "adjacent_find");
 }
 
 TEST(ShortcutDeathTest, RootParentEdgeClaimRejected) {
