@@ -198,12 +198,12 @@ CoreFastResult build_shortcut_random(sim::Engine& eng,
     vcfg.mode = cfg.mode;
     vcfg.delay_range = cfg.congestion_cap;
     vcfg.seed = rng.next_u64();
-    const auto verdict = verify_block_parameter(eng, p, d, candidate, t,
-                                                3 * cfg.block_target, vcfg);
+    // Only participating parts are verified; no other verdict is read.
+    const auto verdict = verify_block_parameter(
+        eng, p, d, candidate, t, 3 * cfg.block_target, vcfg, participating);
     std::vector<char> newly_frozen(p.num_parts, 0);
     for (int i = 0; i < p.num_parts; ++i) {
-      if (out.part_frozen[i] || !participating[i]) continue;
-      if (!verdict.part_good[i]) continue;
+      if (!participating[i] || !verdict.part_good[i]) continue;
       out.part_frozen[i] = 1;
       out.frozen_at[i] = iter;
       newly_frozen[i] = 1;

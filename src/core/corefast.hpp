@@ -12,8 +12,10 @@
 //
 // Algorithm 4's loop: every active part participates in an iteration with
 // probability 1/2 (the contention-halving that [19, Lemma 4] supplies);
-// claimed candidates are verified with Algorithm 2, and parts whose block
-// count lands within 3·b_target freeze their edges and go inactive (line 6:
+// claimed candidates are verified with Algorithm 2 — for the participating
+// parts only, the one verdict an iteration reads, so parts sitting the
+// iteration out send no verification traffic — and parts whose block count
+// lands within 3·b_target freeze their edges and go inactive (line 6:
 // shortcut::adopt_parts copies every part frozen in an iteration into the
 // result in one O(n + claims) pass, the same helper the doubling trick in
 // PaSolver and Algorithm 8 use). After O(log n) iterations all parts are

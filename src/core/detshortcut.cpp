@@ -170,14 +170,17 @@ DetShortcutResult build_shortcut_det(sim::Engine& eng,
 
     shortcut::annotate_block_roots(g, t, candidate);
 
-    // Line 14: verify and freeze (Algorithm 2, real traffic).
+    // Line 14: verify and freeze (Algorithm 2, real traffic), for the
+    // unsettled parts only; no other verdict is read.
     PaGivenConfig vcfg;
     vcfg.mode = cfg.mode;
-    const auto verdict = verify_block_parameter(eng, p, d, candidate, t,
-                                                3 * cfg.block_target, vcfg);
+    std::vector<char> unsettled(p.num_parts, 0);
+    for (int i = 0; i < p.num_parts; ++i) unsettled[i] = !settled[i];
+    const auto verdict = verify_block_parameter(
+        eng, p, d, candidate, t, 3 * cfg.block_target, vcfg, unsettled);
     std::vector<char> newly_frozen(p.num_parts, 0);
     for (int i = 0; i < p.num_parts; ++i) {
-      if (settled[i] || !verdict.part_good[i]) continue;
+      if (!unsettled[i] || !verdict.part_good[i]) continue;
       settled[i] = 1;
       out.part_frozen[i] = 1;
       out.frozen_at[i] = rep;

@@ -13,11 +13,12 @@
 // representatives of active parts seed claims at their positions, each
 // level's paths run Algorithm 7, and each sink pushes its surviving set
 // across its light edge into the parent path. After every level has run the
-// candidate shortcut is verified with Algorithm 2 (real traffic) and parts
-// within 3x the block target freeze, halving the active set per repetition
-// (Lemma 6.7). Line 14's freeze keeps the frozen parts' candidate edges
-// through shortcut::adopt_parts, one O(n + claims) pass per repetition
-// shared with Algorithm 4 and PaSolver's doubling trick.
+// candidate shortcut is verified with Algorithm 2 (real traffic, sent by
+// the still unsettled parts only: settled parts' verdicts are not read) and
+// parts within 3x the block target freeze, halving the active set per
+// repetition (Lemma 6.7). Line 14's freeze keeps the frozen parts'
+// candidate edges through shortcut::adopt_parts, one O(n + claims) pass per
+// repetition shared with Algorithm 4 and PaSolver's doubling trick.
 #pragma once
 
 #include "src/core/pa_given.hpp"

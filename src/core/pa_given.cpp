@@ -47,7 +47,8 @@ class Waveguide {
  public:
   Waveguide(sim::Engine& eng, const graph::Partition& p,
             const shortcut::SubPartDivision& d, const shortcut::Shortcut& s,
-            const tree::SpanningForest& t, const PaGivenConfig& cfg)
+            const tree::SpanningForest& t, const PaGivenConfig& cfg,
+            const std::vector<char>& active)
       : eng_(eng),
         g_(eng.graph()),
         p_(p),
@@ -55,21 +56,27 @@ class Waveguide {
         s_(s),
         t_(t),
         cfg_(cfg),
+        active_(active.empty() ? std::vector<char>(p.num_parts, 1) : active),
         entries_(g_.n()),
         outbox_(g_.n()),
         pending_origin_(g_.n(), 0),
         cross_ports_(g_.n()),
         seq_(g_.n(), 0) {
     PW_CHECK(p.has_leaders());
+    PW_CHECK_MSG(static_cast<int>(active_.size()) == p.num_parts,
+                 "active mask has %zu entries for %d parts", active_.size(),
+                 p.num_parts);
     precompute_hi_children();
   }
 
-  // --- Stage 0: KT0 neighbor announcement (one round, 2m messages). -------
+  // --- Stage 0: KT0 neighbor announcement (one round, one message per port
+  // of an active part's node; 2m when every part is active). ----------------
   void announce() {
     const int n = g_.n();
     neighbor_part_.assign(g_.num_arcs(), -1);
     neighbor_subpart_.assign(g_.num_arcs(), -1);
-    for (int v = 0; v < n; ++v) eng_.wake(v);
+    for (int v = 0; v < n; ++v)
+      if (in_active_part(v)) eng_.wake(v);
     std::vector<char> info_sent(n, 0);
     eng_.run([&](int v) {
       for (const auto& in : eng_.inbox(v)) {
@@ -77,7 +84,7 @@ class Waveguide {
         neighbor_part_[g_.arc_id(v, in.port)] = static_cast<int>(in.msg.a);
         neighbor_subpart_[g_.arc_id(v, in.port)] = static_cast<int>(in.msg.b);
       }
-      if (info_sent[v]) return;
+      if (info_sent[v] || !in_active_part(v)) return;
       info_sent[v] = 1;
       for (int port = 0; port < g_.degree(v); ++port)
         eng_.send(v, port,
@@ -102,6 +109,8 @@ class Waveguide {
   // Accounting is identical to a manual one-round-at-a-time loop: run()
   // executes a round exactly when the network isn't idle, and the skipped
   // rounds of an idle gap are genuine CONGEST rounds, charged as before.
+  // Every part draws its delay, active or not, so a part's delay does not
+  // depend on the mask; only active parts' leaders start a wave.
   void run_wave() {
     struct Start {
       int delay;
@@ -113,7 +122,7 @@ class Waveguide {
       int delay = 0;
       if (cfg_.mode == PaMode::Randomized && cfg_.delay_range > 1)
         delay = static_cast<int>(rng.next_below(cfg_.delay_range));
-      starts.push_back({delay, p_.leader[i]});
+      if (active_[i]) starts.push_back({delay, p_.leader[i]});
     }
     std::sort(starts.begin(), starts.end(),
               [](const Start& a, const Start& b) { return a.delay < b.delay; });
@@ -218,20 +227,20 @@ class Waveguide {
   }
 
   // --- Algorithm 2's objection round. ---------------------------------------
-  // Uninformed part members shout kNack on every port; informed same-part
-  // receivers raise their objection flag. Returns the flags.
+  // Uninformed members of active parts shout kNack on every port; informed
+  // same-part receivers raise their objection flag. Returns the flags.
   std::vector<char> objection_round() {
     std::vector<char> objected(g_.n(), 0);
     std::vector<char> nack_sent(g_.n(), 0);
     for (int v = 0; v < g_.n(); ++v)
-      if (find(v, p_.part_of[v]) == nullptr) eng_.wake(v);
+      if (uninformed(v)) eng_.wake(v);
     eng_.run([&](int v) {
       for (const auto& in : eng_.inbox(v)) {
         if (in.msg.tag != kNack) continue;
         if (neighbor_part_[g_.arc_id(v, in.port)] != p_.part_of[v]) continue;
         if (find(v, p_.part_of[v]) != nullptr) objected[v] = 1;
       }
-      if (!nack_sent[v] && find(v, p_.part_of[v]) == nullptr) {
+      if (!nack_sent[v] && uninformed(v)) {
         nack_sent[v] = 1;
         for (int port = 0; port < g_.degree(v); ++port)
           eng_.send(v, port, sim::Msg{kNack, 0, 0, 0});
@@ -257,6 +266,7 @@ class Waveguide {
   }
 
   bool is_member(int v, int part) const { return p_.part_of[v] == part; }
+  bool is_active(int part) const { return active_[part] != 0; }
   Entry* find(int v, int part) {
     for (auto& e : entries_[v])
       if (e.part == part) return &e;
@@ -269,6 +279,11 @@ class Waveguide {
   }
 
  private:
+  bool in_active_part(int v) const { return active_[p_.part_of[v]] != 0; }
+  bool uninformed(int v) const {
+    return in_active_part(v) && find(v, p_.part_of[v]) == nullptr;
+  }
+
   void precompute_hi_children() {
     hi_children_.assign(g_.n(), {});
     for (int c = 0; c < g_.n(); ++c) {
@@ -427,6 +442,7 @@ class Waveguide {
   const shortcut::Shortcut& s_;
   const tree::SpanningForest& t_;
   PaGivenConfig cfg_;
+  std::vector<char> active_;  // per part; only active parts send anything
 
   std::vector<std::vector<Entry>> entries_;
   std::vector<std::vector<OutItem>> outbox_;
@@ -448,7 +464,7 @@ PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
                        const std::vector<std::uint64_t>& values,
                        const PaGivenConfig& cfg) {
   PW_CHECK(static_cast<int>(values.size()) == eng.graph().n());
-  Waveguide wg(eng, p, d, s, t, cfg);
+  Waveguide wg(eng, p, d, s, t, cfg, /*active=*/{});
 
   PaGivenResult r;
   auto snap = eng.snap();
@@ -475,8 +491,9 @@ VerifyResult verify_block_parameter(sim::Engine& eng,
                                     const shortcut::SubPartDivision& d,
                                     const shortcut::Shortcut& s,
                                     const tree::SpanningForest& t,
-                                    int b_target, const PaGivenConfig& cfg) {
-  Waveguide wg(eng, p, d, s, t, cfg);
+                                    int b_target, const PaGivenConfig& cfg,
+                                    const std::vector<char>& active) {
+  Waveguide wg(eng, p, d, s, t, cfg, active);
   const auto snap = eng.snap();
   wg.announce();
   wg.run_wave();
@@ -502,6 +519,7 @@ VerifyResult verify_block_parameter(sim::Engine& eng,
   out.blocks_counted.assign(p.num_parts, 0);
   const auto covered = wg.coverage();
   for (int i = 0; i < p.num_parts; ++i) {
+    if (!wg.is_active(i)) continue;  // sent nothing; verdict stays "not good"
     const std::uint64_t objections = packed[i] >> 32;
     out.blocks_counted[i] = packed[i] & 0xffffffffULL;
     out.part_good[i] = covered[i] && objections == 0 &&

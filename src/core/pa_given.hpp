@@ -90,6 +90,17 @@ PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
 // messages), and re-runs PA to tell every covered node whether its part
 // failed coverage or has more than `b_target` blocks. Returns, per part,
 // whether the part is "good": fully covered with at most b_target blocks.
+//
+// `active` (one entry per part; empty means every part) restricts the run to
+// the parts whose verdict the caller will read. Only active parts' nodes
+// announce and object, only their leaders start waves, and so only they
+// gather and scatter; every part still draws its randomized start delay, so
+// an active part starts exactly when it would with every part active. An
+// inactive part sends nothing and gets part_good = 0, blocks_counted = 0.
+// An active part's verdict depends on its own coverage, objections and block
+// roots alone (other parts only delay its tokens, and the wave drains to
+// quiescence), so it equals its verdict under the all-parts mask; only the
+// rounds and messages shrink.
 struct VerifyResult {
   std::vector<char> part_good;
   std::vector<std::uint64_t> blocks_counted;
@@ -101,6 +112,7 @@ VerifyResult verify_block_parameter(sim::Engine& eng,
                                     const shortcut::SubPartDivision& d,
                                     const shortcut::Shortcut& s,
                                     const tree::SpanningForest& t,
-                                    int b_target, const PaGivenConfig& cfg = {});
+                                    int b_target, const PaGivenConfig& cfg = {},
+                                    const std::vector<char>& active = {});
 
 }  // namespace pw::core

@@ -26,6 +26,7 @@ void validate_forest(const graph::Graph& g, const SpanningForest& f) {
   }
   for (int v = 0; v < g.n(); ++v)
     for (int cp : f.children_ports[v]) {
+      PW_CHECK(cp >= 0 && cp < g.degree(v));
       const int child = g.arcs(v)[cp].to;
       PW_CHECK(f.parent[child] == v);
     }

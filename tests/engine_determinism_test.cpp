@@ -29,11 +29,14 @@ struct Golden {
 };
 
 // Captured from the seed engine (commit 2a083dd) with the instances below.
+// The nl_* counts of the GNM, torus and k-tree rows were re-captured when
+// Algorithm 2 stopped verifying parts whose verdict its callers discard:
+// verification traffic only, every structural output unchanged.
 constexpr Golden kGolden[] = {
-    {"general(GNM)", 8, 3072, 183, 75399, 9029, 1342376},
+    {"general(GNM)", 8, 3072, 183, 75399, 8950, 975919},
     {"planar(grid)", 32, 960, 571, 26513, 2744, 127153},
-    {"genus1(torus)", 14, 576, 282, 15174, 2075, 76708},
-    {"treewidth(k-tree,k=3)", 6, 2292, 147, 54860, 2162, 338558},
+    {"genus1(torus)", 14, 576, 282, 15174, 2066, 63482},
+    {"treewidth(k-tree,k=3)", 6, 2292, 147, 54860, 2156, 303604},
     {"pathwidth(caterpillar)", 130, 766, 2622, 25196, 2405, 118062},
 };
 

@@ -9,6 +9,11 @@
 // To re-capture after an intended algorithmic change, run with
 // PW_GOLDEN_PRINT=1: each test then prints its actual values in the
 // initializer syntax used below.
+//
+// The rounds and messages of the randomized Borůvka tests and the shortcut
+// rounds and messages of SetPartitionGnmRandomized were re-captured when
+// Algorithm 2 began verifying only the parts whose verdict its callers read;
+// weights, phases, guesses and both hashes did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -91,10 +96,10 @@ void expect_mst(std::uint64_t graph_seed, PaMode mode, const MstGolden& want) {
 }
 
 TEST(Golden, BoruvkaRandomizedSeedA) {
-  expect_mst(101, PaMode::Randomized, {59346003, 4, 1912, 206817});
+  expect_mst(101, PaMode::Randomized, {59346003, 4, 1843, 157327});
 }
 TEST(Golden, BoruvkaRandomizedSeedB) {
-  expect_mst(202, PaMode::Randomized, {59703355, 4, 1851, 208264});
+  expect_mst(202, PaMode::Randomized, {59703355, 4, 1824, 160184});
 }
 TEST(Golden, BoruvkaDeterministicSeedA) {
   expect_mst(101, PaMode::Deterministic, {59346003, 4, 5178, 210290});
@@ -189,7 +194,7 @@ TEST(Golden, SetPartitionGridDeterministic) {
 TEST(Golden, SetPartitionGnmRandomized) {
   const auto g = solver_gnm();
   expect_solver(g, solver_gnm_partition(g), PaMode::Randomized,
-                {14ULL, 11718ULL, 4ULL, 874ULL, 397ULL, 46318ULL, 4,
+                {14ULL, 11718ULL, 4ULL, 874ULL, 393ULL, 30400ULL, 4,
                  15212912969186006675ULL, 16452015111338582752ULL});
 }
 TEST(Golden, SetPartitionGnmDeterministic) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/core/corefast.hpp"
 #include "src/core/pa_given.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/properties.hpp"
@@ -202,6 +205,102 @@ TEST(PaGiven, VerifyRejectsWhenBlockBudgetTooSmall) {
   }
   const auto vr2 = verify_block_parameter(eng, p, div, sc, t, 2, {});
   EXPECT_TRUE(vr2.part_good[0]);
+}
+
+// Algorithm 2 under an active mask: every active part's verdict equals its
+// verdict when every part runs, inactive parts report "not good" with zero
+// blocks, and the masked run never sends more than the full one.
+void expect_masked_verify_matches_full(const Graph& g, Partition p,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  p.elect_min_id_leaders();
+  const int diameter = graph::diameter_estimate(g);
+  Pipeline pipe(g, p, diameter, rng, /*with_trivial_shortcut=*/false);
+  const int np = p.num_parts;
+  const auto candidate = corefast_claim(pipe.eng, p, pipe.div, pipe.t,
+                                        std::vector<char>(np, 1),
+                                        /*congestion_cap=*/2);
+  ASSERT_GT(shortcut::congestion(candidate), 1);
+
+  std::vector<std::vector<char>> masks;
+  masks.push_back(std::vector<char>(np, 1));
+  masks.push_back(std::vector<char>(np, 0));
+  for (int i = 0; i < np; ++i) {
+    masks.push_back(std::vector<char>(np, 0));
+    masks.back()[i] = 1;
+  }
+  for (int k = 0; k < 6; ++k) {
+    masks.push_back(std::vector<char>(np, 0));
+    for (auto& a : masks.back()) a = rng.next_bool(0.5);
+  }
+
+  int good = 0, bad = 0;
+  for (const PaMode mode : {PaMode::Deterministic, PaMode::Randomized}) {
+    for (const int b_target : {1, 3}) {
+      PaGivenConfig cfg;
+      cfg.mode = mode;
+      cfg.delay_range = mode == PaMode::Randomized ? 2 : 0;
+      cfg.seed = seed;
+      const auto full = verify_block_parameter(pipe.eng, p, pipe.div, candidate,
+                                               pipe.t, b_target, cfg);
+      for (int i = 0; i < np; ++i) (full.part_good[i] ? good : bad) += 1;
+      for (const auto& mask : masks) {
+        const auto vr = verify_block_parameter(pipe.eng, p, pipe.div, candidate,
+                                               pipe.t, b_target, cfg, mask);
+        for (int i = 0; i < np; ++i) {
+          if (mask[i]) {
+            EXPECT_EQ(vr.part_good[i], full.part_good[i]) << "part " << i;
+            EXPECT_EQ(vr.blocks_counted[i], full.blocks_counted[i])
+                << "part " << i;
+          } else {
+            EXPECT_EQ(vr.part_good[i], 0) << "part " << i;
+            EXPECT_EQ(vr.blocks_counted[i], 0u) << "part " << i;
+          }
+        }
+        EXPECT_LE(vr.stats.messages, full.stats.messages);
+        if (std::none_of(mask.begin(), mask.end(), [](char a) { return a; })) {
+          EXPECT_EQ(vr.stats.rounds, 0u);
+          EXPECT_EQ(vr.stats.messages, 0u);
+        }
+        if (std::all_of(mask.begin(), mask.end(), [](char a) { return a; })) {
+          EXPECT_EQ(vr.stats.rounds, full.stats.rounds);
+          EXPECT_EQ(vr.stats.messages, full.stats.messages);
+        }
+      }
+    }
+  }
+  // The comparison means something only if both verdicts occur.
+  EXPECT_GT(good, 0);
+  EXPECT_GT(bad, 0);
+}
+
+TEST(PaGiven, VerifyMaskedMatchesAllPartsRandomGraphs) {
+  Rng rng(21);
+  for (int trial = 0; trial < 3; ++trial) {
+    Graph g = graph::gen::random_connected(150, 400, rng);
+    expect_masked_verify_matches_full(g, graph::random_bfs_partition(g, 12, rng),
+                                      400 + trial);
+  }
+}
+
+TEST(PaGiven, VerifyMaskedMatchesAllPartsGrid) {
+  Rng rng(22);
+  Graph g = graph::gen::grid(10, 16);
+  expect_masked_verify_matches_full(g, graph::random_bfs_partition(g, 10, rng),
+                                    500);
+}
+
+TEST(PaGiven, VerifyRejectsMaskOfWrongSize) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Graph g = graph::gen::grid(4, 6);
+  Partition p = graph::grid_row_partition(4, 6);
+  p.elect_min_id_leaders();
+  Rng rng(23);
+  Pipeline pipe(g, p, 8, rng, true);
+  const std::vector<char> mask(p.num_parts + 1, 1);
+  EXPECT_DEATH(verify_block_parameter(pipe.eng, p, pipe.div, pipe.sc, pipe.t,
+                                      1, {}, mask),
+               "active mask has");
 }
 
 TEST(PaGiven, StatsPhasesAllAccounted) {

@@ -298,9 +298,11 @@ TEST(SubpartValidator, RejectsCrossPartSubpart) {
   d.forest.parent = {-1, 0, 1, 2};
   d.forest.parent_port = {-1, 0, 0, 0};
   d.forest.depth = {0, 1, 2, 3};
-  d.forest.children_ports = {{1}, {1}, {1}, {}};
+  d.forest.children_ports = {{0}, {1}, {1}, {}};
   d.forest.roots = {0};
-  EXPECT_DEATH(validate_subpart_division(g, p, d, 10), "PW_CHECK");
+  // The forest itself is well formed; the cross-part check must fire.
+  EXPECT_DEATH(validate_subpart_division(g, p, d, 10),
+               "p.part_of\\[v\\] == p.part_of\\[d.rep_of_subpart");
 }
 
 TEST(SubpartRandom, DensityMatchesDefinition41) {

@@ -40,6 +40,22 @@ TEST(Bfs, RoundAndMessageBounds) {
             static_cast<std::uint64_t>(g.num_arcs() + g.n()));
 }
 
+TEST(Bfs, ValidateForestRejectsOutOfRangeChildPort) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Graph g = graph::gen::path(3);
+  SpanningForest f;
+  f.parent = {-1, 0, 1};
+  f.parent_port = {-1, 0, 0};
+  f.depth = {0, 1, 2};
+  f.children_ports = {{0}, {1}, {}};
+  f.roots = {0};
+  validate_forest(g, f);  // well formed
+  f.children_ports[0] = {1};  // node 0 has degree 1
+  EXPECT_DEATH(validate_forest(g, f), "cp >= 0 && cp < g.degree");
+  f.children_ports[0] = {-1};
+  EXPECT_DEATH(validate_forest(g, f), "cp >= 0 && cp < g.degree");
+}
+
 TEST(Bfs, RestrictedToPartition) {
   // 2x6 grid; restrict BFS to stay within rows.
   Graph g = graph::gen::grid(2, 6);
