@@ -11,11 +11,9 @@
 //   flood_cold    one engine per flood phase — includes per-engine setup.
 //   skewed_flood  repeated skewed-activity phases (only the top n/skew ids
 //                 send, re-waking every round) — callback work concentrates
-//                 in one shard, the regime the eager per-bucket seal and the
-//                 incremental merge (DESIGN.md §8) target. Compare its
-//                 pipeline=2/3 rows against pipeline=1 to see what bucket-
-//                 granular sealing and the incremental scatter buy over
-//                 shard-granular. Swept over hot-band denominators (the
+//                 in one shard, the regime where the pipelined close
+//                 (DESIGN.md §8) must not fall behind the barriered one.
+//                 Swept over hot-band denominators (the
 //                 `skew` column; PW_BENCH_SKEW=8,32 comma-list override,
 //                 default {8, 32}), and each (n, skew) combo also reports
 //                 the per-shard incoming-message imbalance (max/mean over
@@ -32,11 +30,9 @@
 // deduped, capped at the workload's node count, PW_BENCH_THREADS override.
 // Every JSON row records the detected core count (`host_threads`) so
 // artifacts from different runner classes are distinguishable, and
-// multi-thread flood rows are swept over all four round-close modes of
-// DESIGN.md §8 (`pipeline` column: 0 = barriered, 1 = pipelined with
-// shard-granular seals, 2 = pipelined with the eager per-bucket seal, 3 =
-// pipelined with the incremental per-bucket merge), so the regression gate
-// watches every close mode independently.
+// multi-thread flood rows are swept over both round-close modes of
+// DESIGN.md §8 (`pipeline` column: 0 = barriered, 1 = pipelined), so the
+// regression gate watches each close mode independently.
 #include "bench/common.hpp"
 #include "bench/workloads.hpp"
 #include "src/tree/treeops.hpp"
@@ -148,13 +144,11 @@ void run() {
   const int host_threads = detected_cores();
 
   // `pipe` is the pipeline column of the artifact: 0 = barriered close,
-  // 1 = pipelined with shard-granular seals, 2 = pipelined with the eager
-  // per-bucket seal, 3 = pipelined with the incremental per-bucket merge
-  // (DESIGN.md §8).
+  // 1 = pipelined close (DESIGN.md §8).
   auto policy_of = [](int threads, int pipe) {
-    return sim::ExecutionPolicy{threads, pipe >= 1, pipe >= 2, pipe == 3};
+    return sim::ExecutionPolicy{.num_threads = threads, .pipeline = pipe == 1};
   };
-  const char* const kPipeNames[] = {"off", "on", "eager", "inc"};
+  const char* const kPipeNames[] = {"off", "on"};
   // skew < 0 = not a skewed workload: no skew column in the JSON row, so the
   // row keys of every pre-existing workload are unchanged and old baselines
   // keep matching (check_regression defaults absent skew to 8 on both sides).
@@ -205,14 +199,14 @@ void run() {
     // samples to shrug one off — the regression gate keys on these rows.
     const int reps = n <= 1024 ? 256 : n <= 8192 ? 32 : 16;
 
-    // The anchor workload, swept over thread counts and all four round-close
+    // The anchor workload, swept over thread counts and both round-close
     // modes: the sharded engine must reproduce identical rounds/messages
     // (measure() aborts on drift) while the wall clock shows what the shards
-    // — and the §8 merge/callback overlap, shard-, bucket-sealed, or
-    // incremental — buy on this machine. With one thread there is a single
-    // shard and the close modes coincide, so only pipeline=off is emitted.
+    // — and the §8 merge/callback overlap — buy on the host running it. With
+    // one thread there is a single shard and the close modes coincide, so
+    // only pipeline=off is emitted.
     for (const int threads : thread_sweep(n)) {
-      for (int pipe = 0; pipe <= (threads > 1 ? 3 : 0); ++pipe) {
+      for (int pipe = 0; pipe <= (threads > 1 ? 1 : 0); ++pipe) {
         sim::Engine eng(g, policy_of(threads, pipe));
         std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
         const auto r =
@@ -248,13 +242,10 @@ void run() {
 
   // Skewed sender activity (only the top n/skew ids send, re-waking for a
   // fixed round budget): the callback work of every round concentrates in
-  // the top shard, so under the shard-granular pipelined close every merge
-  // waits for that one long sweep — the eager per-bucket seal (pipeline=2)
-  // and the incremental merge (pipeline=3) are expected to pull ahead of
-  // pipeline=1 here on a multi-core runner, and must never be meaningfully
-  // behind it. Each (n, threads, skew) combo carries the per-shard incoming-
-  // message imbalance the largest-first claim schedules against — the skew
-  // study: higher skew, higher imbalance, more for pipeline=3 to reclaim.
+  // the top shard, so under the pipelined close every merge the hot shard
+  // feeds waits for that one long sweep. Each (n, threads, skew) combo
+  // carries the per-shard incoming-message imbalance the largest-first claim
+  // schedules against — the skew study: higher skew, higher imbalance.
   const auto skews = skew_sweep();
   for (const int n : {8192, 65536}) {
     Rng rng(4);
@@ -263,7 +254,7 @@ void run() {
     for (const int skew : skews) {
       for (const int threads : thread_sweep(n)) {
         const double imb = shard_imbalance(g, threads, skew);
-        for (int pipe = 0; pipe <= (threads > 1 ? 3 : 0); ++pipe) {
+        for (int pipe = 0; pipe <= (threads > 1 ? 1 : 0); ++pipe) {
           sim::Engine eng(g, policy_of(threads, pipe));
           const auto r = measure(
               eng, 2, reps, [&] { skewed_flood_workload(eng, 12, skew); });

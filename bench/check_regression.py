@@ -19,10 +19,10 @@ algorithm stacks whose variance hasn't been characterized (ROADMAP), so a
 hard gate would cry wolf.
 
 The `pipeline` key selects the round-close mode of DESIGN.md §8 — 0 =
-barriered, 1 = pipelined with shard-granular seals, 2 = pipelined with the
-eager per-bucket seal, 3 = pipelined with the incremental per-bucket merge —
-so every close mode is tracked independently; rows written before the column
-existed default to 0 (the barriered close was the only mode then). The
+barriered, 1 = pipelined (each sender shard seals its buckets when its sweep
+returns) — so both close modes are tracked independently; rows written
+before the column existed default to 0 (the barriered close was the only
+mode then). The
 `skew` key is the skewed_flood hot-band denominator (senders = top n/skew
 ids); rows without it — all non-skewed workloads, plus skewed rows written
 before the sweep existed — default to the historical 8.

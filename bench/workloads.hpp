@@ -33,18 +33,18 @@ inline void flood_workload(sim::Engine& eng, std::vector<char>& seen) {
 // — they re-wake themselves and send on every port each of `rounds` rounds,
 // while everything below just receives. With contiguous id-range shards the
 // callback work of a round concentrates in the top shard(s) and the rest
-// finish their sweeps almost immediately — exactly the regime the eager
-// per-bucket seal of DESIGN.md §8 targets: a low-activity destination's
-// merge unlocks as soon as the hot shard's sweep passes its last arc into
-// it, instead of waiting out the whole hot sweep. Defined purely in node-id
+// finish their sweeps almost immediately — the skewed regime of DESIGN.md
+// §8, where every merge the hot shard feeds waits out its whole sweep under
+// the pipelined close, and the barriered close waits for it everywhere.
+// Defined purely in node-id
 // terms, so the work is identical under every shard layout (the trace/drift
 // guards rely on that). The final drain discards the hot set's last
 // self-wakes so repeated phases do identical work.
 //
 // `skew_denom` sets the hot-band fraction (hot senders = n / skew_denom,
 // at least 1): 8 is the historical default, larger values concentrate the
-// sending into a thinner, hotter band — the regime the incremental merge's
-// largest-first claim targets. The microbench sweeps it via PW_BENCH_SKEW.
+// sending into a thinner, hotter band — the regime the largest-first merge
+// claim targets. The microbench sweeps it via PW_BENCH_SKEW.
 inline void skewed_flood_workload(sim::Engine& eng, int rounds,
                                   int skew_denom = 8) {
   const auto& g = eng.graph();

@@ -7,10 +7,9 @@
 
 namespace pw::sim {
 
-DataPlane::DataPlane(const graph::Graph& g, int max_shards, bool eager_seal,
-                     bool incremental, const FaultPolicy* faults,
-                     TransportKind transport)
-    : g_(&g), eager_seal_(eager_seal), incremental_(incremental && eager_seal) {
+DataPlane::DataPlane(const graph::Graph& g, int max_shards,
+                     const FaultPolicy* faults, TransportKind transport)
+    : g_(&g) {
   PW_CHECK(max_shards >= 1);
   const int n = g.n();
   // Contiguous shards with a power-of-two chunk so shard_of is one shift.
@@ -80,43 +79,6 @@ DataPlane::DataPlane(const graph::Graph& g, int max_shards, bool eager_seal,
           seal_out_[static_cast<std::size_t>(cur[static_cast<std::size_t>(s)]++)] = d;
   }
 
-  // Per-node distinct non-self destination shards (eager seal only): node v
-  // in shard s reaches shard d iff one of v's arcs heads into d, a static
-  // property — the seal point of bucket (s, d) is just the last active node
-  // whose list contains d. Two passes (count, fill) with a seen-marker per
-  // destination keep each list deduped.
-  if (S > 1 && eager_seal_) {
-    node_dest_beg_.assign(static_cast<std::size_t>(n) + 1, 0);
-    std::vector<int> seen(static_cast<std::size_t>(S), -1);
-    for (int v = 0; v < n; ++v) {
-      const int sv = shard_of(v);
-      for (const graph::Arc& a : g.arcs(v)) {
-        const int d = shard_of(a.to);
-        if (d != sv && seen[static_cast<std::size_t>(d)] != v) {
-          seen[static_cast<std::size_t>(d)] = v;
-          ++node_dest_beg_[static_cast<std::size_t>(v) + 1];
-        }
-      }
-    }
-    for (int v = 0; v < n; ++v)
-      node_dest_beg_[static_cast<std::size_t>(v) + 1] +=
-          node_dest_beg_[static_cast<std::size_t>(v)];
-    node_dest_.resize(static_cast<std::size_t>(node_dest_beg_.back()));
-    std::fill(seen.begin(), seen.end(), -1);
-    std::vector<int> cur(node_dest_beg_.begin(), node_dest_beg_.end() - 1);
-    for (int v = 0; v < n; ++v) {
-      const int sv = shard_of(v);
-      for (const graph::Arc& a : g.arcs(v)) {
-        const int d = shard_of(a.to);
-        if (d != sv && seen[static_cast<std::size_t>(d)] != v) {
-          seen[static_cast<std::size_t>(d)] = v;
-          node_dest_[static_cast<std::size_t>(
-              cur[static_cast<std::size_t>(v)]++)] = d;
-        }
-      }
-    }
-  }
-
   {
     // One arena for both SoA staging views (see the member comment for why a
     // single allocation matters): payloads first — the arena start carries
@@ -168,38 +130,6 @@ DataPlane::DataPlane(const graph::Graph& g, int max_shards, bool eager_seal,
     // before deciding whether the entry was fresh, so the write index can
     // touch (but never pass) index shard_size.
     sh.wake_list.reserve(static_cast<std::size_t>(sh.end - sh.beg) + 1);
-    if (S > 1 && eager_seal_) {
-      sh.seal_points.resize(static_cast<std::size_t>(S));
-      sh.full_seal_points.resize(static_cast<std::size_t>(S));
-      sh.seal_last.assign(static_cast<std::size_t>(S), -1);
-    }
-  }
-  if (S > 1 && eager_seal_) {
-    // Static all-active seal schedule (§8): when a shard's materialized
-    // active slice is the FULL shard, the last feeder per destination is a
-    // property of the graph alone — compute that schedule once, here, over a
-    // synthetic all-nodes slice. compute_seal_points() repoints sched at it
-    // whenever a materialization covers the whole shard.
-    std::vector<int> ids;
-    for (int s = 0; s < S; ++s) {
-      Shard& sh = shards_[static_cast<std::size_t>(s)];
-      ids.resize(static_cast<std::size_t>(sh.end - sh.beg));
-      for (int i = 0; i < sh.end - sh.beg; ++i) ids[static_cast<std::size_t>(i)] = sh.beg + i;
-      sh.full_seal_count = build_seal_points(
-          s, ids.data(), static_cast<int>(ids.size()),
-          sh.full_seal_points.data());
-    }
-    // Seed every shard's seal points for the empty active set, so a shard
-    // that has never been materialized (not woken since construction) still
-    // seals its whole out-list when a pipelined round sweeps it —
-    // materialization only ever OVERWRITES this row, and merges touch every
-    // shard every round.
-    for (int s = 0; s < S; ++s) compute_seal_points(s);
-  }
-  if (incremental_merge()) {
-    scatter_done_.assign(static_cast<std::size_t>(S) * S, 0);
-    scatter_count_.assign(static_cast<std::size_t>(S), 0);
-    commit_done_.assign(static_cast<std::size_t>(S), 0);
   }
 }
 
@@ -210,11 +140,9 @@ void DataPlane::stage(int v, int port, const Msg& m) {
                  "parallel callback sent from node %d outside its shard "
                  "(DESIGN.md §7 contract)",
                  v);
-    // A parallel callback may send only AS the node it was invoked on: a
-    // send on behalf of a same-shard sibling could land after the sibling's
-    // bucket sealed under the eager close (§8) — into a bucket a merge may
-    // already be scanning. Checked in every close mode so a conforming
-    // callback cannot tell them apart.
+    // A parallel callback may send only AS the node it was invoked on (§7):
+    // node v's outgoing traffic is v's to produce. Checked in every close
+    // mode, so a callback that passes under one cannot break under another.
     PW_CHECK_MSG(shards_[static_cast<std::size_t>(s)].current_cb == v,
                  "parallel callback for node %d sent as node %d: sends are "
                  "allowed only for the invoked node (DESIGN.md §7 contract)",
@@ -366,75 +294,10 @@ void DataPlane::rebuild_active() {
   for (int d = 0; d < num_shards_; ++d) {
     Shard& sh = shards_[static_cast<std::size_t>(d)];
     if (!sh.dirty) continue;  // its sorted output from the last merge stands
-                              // (and with it the shard's seal points)
     sh.active_count = sort_shard_wake(sh, sorted_out(d));
     sh.dirty = false;
-    if (eager_seal()) compute_seal_points(d);
   }
   compact_active();
-}
-
-int DataPlane::build_seal_points(int s, const int* act, int count,
-                                 SealPoint* out) {
-  Shard& sh = shards_[static_cast<std::size_t>(s)];
-  const int* beg = seal_out_beg_.data();
-  // Reset only the slots the shard's static out-list can read back: the
-  // rebuild never does O(S) work for sparse out-lists.
-  int remaining = 0;
-  for (int i = beg[s]; i < beg[s + 1]; ++i) {
-    const int d = seal_out_[static_cast<std::size_t>(i)];
-    if (d != s) {
-      sh.seal_last[static_cast<std::size_t>(d)] = -1;
-      ++remaining;
-    }
-  }
-  // Walk the active slice BACKWARD and keep only each destination's first
-  // hit (= the last feeder), stopping once every destination is pinned: on
-  // dense rounds (flood fronts, everything active) this touches a handful of
-  // tail nodes instead of the whole slice, keeping the per-merge rebuild far
-  // below one pass over the staged messages.
-  for (int i = count - 1; i >= 0 && remaining > 0; --i) {
-    const int v = act[i];
-    for (int j = node_dest_beg_[static_cast<std::size_t>(v)];
-         j < node_dest_beg_[static_cast<std::size_t>(v) + 1]; ++j) {
-      auto& last = sh.seal_last[static_cast<std::size_t>(
-          node_dest_[static_cast<std::size_t>(j)])];
-      if (last < 0) {
-        last = i;
-        --remaining;
-      }
-    }
-  }
-  int cnt = 0;
-  for (int i = beg[s]; i < beg[s + 1]; ++i) {
-    const int d = seal_out_[static_cast<std::size_t>(i)];
-    if (d != s)
-      out[static_cast<std::size_t>(cnt++)] =
-          SealPoint{sh.seal_last[static_cast<std::size_t>(d)], d};
-  }
-  // Ascending (idx, dest): idx -1 entries (no active feeder — the bucket may
-  // have capacity but stays empty this round) sort first and seal before the
-  // sweep's first callback. At most S-1 elements; std::sort allocates
-  // nothing at these sizes.
-  std::sort(out, out + cnt, [](const SealPoint& a, const SealPoint& b) {
-    return a.idx != b.idx ? a.idx < b.idx : a.dest < b.dest;
-  });
-  return cnt;
-}
-
-void DataPlane::compute_seal_points(int s) {
-  Shard& sh = shards_[static_cast<std::size_t>(s)];
-  if (sh.active_count == sh.end - sh.beg) {
-    // All-active slice: a full contiguous shard materializes as exactly
-    // [beg, end), so the schedule is the static one built at construction —
-    // skip the backward scan entirely (§8).
-    sh.sched = sh.full_seal_points.data();
-    sh.sched_count = sh.full_seal_count;
-    return;
-  }
-  sh.sched_count =
-      build_seal_points(s, sorted_out(s), sh.active_count, sh.seal_points.data());
-  sh.sched = sh.seal_points.data();
 }
 
 void DataPlane::begin_round() {
@@ -460,8 +323,7 @@ void DataPlane::begin_round() {
 
 // Fan-in count update for one (possibly repeated) delivery to `to`; first
 // touch this epoch also wakes the receiver. All state owned by sh's shard;
-// additive and dedup-by-epoch, so the order buckets are scattered in cannot
-// change the final counts, wake membership, or min/max (§8).
+// additive and dedup-by-epoch.
 void DataPlane::count_in(Shard& sh, int to, int k) {
   auto& w = wake_stamp_[static_cast<std::size_t>(to)];
   if ((w & kEpochMask) != wake_epoch_) {
@@ -604,7 +466,7 @@ void DataPlane::scatter_bucket(int d, int s) {
   }
 }
 
-// The barriered/eager merge body: scatter every feeder bucket in ascending
+// The merge body: scatter every feeder bucket in ascending
 // sender-shard order — that IS the global ascending-sender send order
 // restricted to this shard — then commit. (Single-shard fault-free planes
 // counted at stage() time — see the fast path there; under faults the choke
@@ -620,81 +482,9 @@ void DataPlane::merge_shard(int d, std::uint32_t next_stamp) {
   commit_shard(d, next_stamp);
 }
 
-// The incremental merge body (§8): claimed as soon as d's own sweep sealed
-// the self edge, scatters each feeder bucket as its seal arrives. Fault-free
-// scattering is order-independent (see count_in), so buckets go in ARRIVAL
-// order; under faults the per-destination delay queue is append-order-
-// sensitive, so buckets scatter strictly in ascending sender order, parking
-// per bucket. Either way the commit runs after all S buckets scattered and
-// is identical to every other mode — traces stay bit-identical.
-void DataPlane::merge_shard_incremental(int d, std::uint32_t next_stamp,
-                                        Executor& ex) {
-  const int S = num_shards_;
-  std::uint8_t* done = scatter_done_.data() + static_cast<std::size_t>(d) * S;
-  // A zero-capacity feeder bucket has no dependency edge (§8: the graph is
-  // built from bucket_base_), so s never seals it — waiting on it would
-  // deadlock. Pre-mark those scattered; they hold no messages by definition.
-  // (The zero-capacity SELF bucket still has its edge — sealed at publish —
-  // so it needs no exception.)
-  int premarked = 0;
-  for (int s = 0; s < S; ++s) {
-    const auto b = static_cast<std::size_t>(d) * S + s;
-    if (s != d && bucket_base_[b + 1] == bucket_base_[b]) {
-      done[s] = 1;
-      ++premarked;
-    }
-  }
-  scatter_count_[static_cast<std::size_t>(d)] = premarked;
-  if (fault_ != nullptr) {
-    scatter_due(d);
-    for (int s = 0; s < S; ++s) {
-      if (done[s] != 0) continue;
-      while (!ex.edge_sealed(s, d)) {
-        // Snapshot the seal-event count, re-check the flag (the seal raises
-        // the flag BEFORE bumping the count), then park on the snapshot.
-        const int seen = ex.dest_seals(d);
-        if (ex.edge_sealed(s, d)) break;
-        ex.wait_dest_seals(d, seen);
-      }
-      scatter_bucket(d, s);
-      done[s] = 1;
-      ++scatter_count_[static_cast<std::size_t>(d)];
-    }
-  } else {
-    int scattered = premarked;
-    while (scattered < S) {
-      const int seen = ex.dest_seals(d);
-      bool progressed = false;
-      for (int s = 0; s < S; ++s) {
-        if (done[s] == 0 && ex.edge_sealed(s, d)) {
-          scatter_bucket(d, s);
-          done[s] = 1;
-          scatter_count_[static_cast<std::size_t>(d)] = ++scattered;
-          progressed = true;
-        }
-      }
-      if (scattered >= S) break;
-      // Nothing new sealed during the scan: park until the seal-event count
-      // moves past the pre-scan snapshot (a seal that raced the scan already
-      // bumped it, so the park returns immediately — no lost wakeup).
-      if (!progressed) ex.wait_dest_seals(d, seen);
-    }
-  }
-  commit_shard(d, next_stamp);
-  commit_done_[static_cast<std::size_t>(d)] = 1;
-}
-
 int DataPlane::merge_size(int d) const {
-  const int S = num_shards_;
-  if (incremental_merge())
-    // Publish happens at the self seal, while feeder cursors may still be
-    // written — weigh by the static capacity of d's bucket region instead
-    // of reading live cursors.
-    return static_cast<int>(
-        bucket_base_[static_cast<std::size_t>(d + 1) * S] -
-        bucket_base_[static_cast<std::size_t>(d) * S]);
   int total = 0;
-  for (int s = 0; s < S; ++s) total += bucket_cur(s, d);
+  for (int s = 0; s < num_shards_; ++s) total += bucket_cur(s, d);
   return total;
 }
 
@@ -744,18 +534,12 @@ void DataPlane::commit_shard(int d, std::uint32_t next_stamp) {
     }
   }
   sh.active_count = cnt;
-  // The freshly materialized active slice is exactly what the shard's NEXT
-  // stage-1 sweep iterates, so this is the one moment its eager-seal points
-  // are computable and fresh (§8). Runs inside the merge task that owns
-  // shard d, so the metadata stays single-writer.
-  if (eager_seal()) compute_seal_points(d);
 
   // Stable delivery copy: per-recipient delivery order is ascending sender
   // shard, then within-shard send order — the global send order (§7). Under
   // faults, due delayed messages land first (older traffic), then fresh
   // survivors, each pass replaying the scatter pass's verdicts branch for
-  // branch. The incremental merge shares this unchanged: whatever order its
-  // scatter phase counted buckets in, the copy below walks them ascending.
+  // branch.
   if (fp != nullptr) {
     const auto due = fp->due_now(d);
     for (const FaultPlane::Delayed& e : due) {
@@ -825,7 +609,7 @@ void DataPlane::publish_bucket(int s, int d) {
   transport_->publish(s, d, bucket_cur(s, d));
 }
 
-// Barriered-close publish pass (§10): without seal points (end_round, the
+// Barriered-close publish pass (§10): without seals (end_round, the
 // stamp-wrap fallback, manual round loops) every nonzero link's frame goes
 // out here, on the caller thread, before the merges dispatch — the dispatch
 // barrier then orders publish before every drain, exactly like a seal's
@@ -860,13 +644,6 @@ std::uint64_t DataPlane::close_round() {
     for (const int c : line.w) total += static_cast<std::uint64_t>(c);
   compact_active();
   std::fill(bucket_cur_.begin(), bucket_cur_.end(), CurLine{});
-  if (incremental_merge()) {
-    // Reset the scatter cursors for the next dispatch (sequential tail, so
-    // the next generation bump publishes the zeroes to every worker).
-    std::fill(scatter_done_.begin(), scatter_done_.end(), std::uint8_t{0});
-    std::fill(scatter_count_.begin(), scatter_count_.end(), 0);
-    std::fill(commit_done_.begin(), commit_done_.end(), std::uint8_t{0});
-  }
   ++round_id_;
   return total;
 }
@@ -899,40 +676,29 @@ std::uint64_t DataPlane::run_pipelined_round(Executor& ex,
   if (round_id_ == std::numeric_limits<std::uint32_t>::max()) {
     // Once per 2^32 rounds the stamp wrap must clear the arc and run stamp
     // arrays, which cannot overlap callbacks still staging into them — take
-    // the barriered close for this one round. (Its sweeps run outside a
-    // pipeline dispatch, so an eager-sealing sweep's Executor::seal calls
-    // no-op, and end_round()'s merges re-materialize every shard's actives —
-    // and with them the seal schedules — so the pipelined close resumes
-    // cleanly next round.)
+    // the barriered close for this one round; the pipelined close resumes
+    // next round.
     ex.parallel(num_shards_, sweep, cb_ctx);
     return end_round(ex);
   }
   struct Ctx {
     DataPlane* dp;
-    Executor* ex;
     std::uint32_t stamp;
     Executor::TaskFn sweep;
     void* cb_ctx;
-  } ctx{this, &ex, round_id_ + 1, sweep, cb_ctx};
+  } ctx{this, round_id_ + 1, sweep, cb_ctx};
   const Executor::PipelineDeps deps{seal_out_beg_.data(), seal_out_.data(),
                                     merge_dep_count_.data()};
-  // Under eager_seal() the sweep issues every bucket seal itself
-  // (caller_seals); otherwise the executor seals a shard's whole out-list
-  // when its sweep returns — the shard-granular close. The incremental merge
-  // (§8) additionally publishes each destination at its self seal and runs
-  // the scattering merge body; either way stage-2 claims go largest-first by
-  // merge_size.
+  // The executor seals a shard's whole out-list when its sweep returns;
+  // stage-2 claims go largest-first by merge_size.
   Executor::PipelineOpts opts;
-  opts.caller_seals = eager_seal();
-  opts.incremental = incremental_merge();
   opts.size_of = +[](void* c, int d) {
     return static_cast<Ctx*>(c)->dp->merge_size(d);
   };
   // §10: a seal IS a publish. The hook runs on the sealing thread — the
-  // owner of sender shard s — before the edge flag rises, so the frame the
-  // merge drains is ordered by the very release chain that unlocks it. Fires
-  // for caller-issued seals (eager sweeps) and the executor's automatic
-  // whole-out-list seal (shard-granular close) alike.
+  // owner of sender shard s — before the dependency counter drops, so the
+  // frame the merge drains is ordered by the very release chain that
+  // unlocks it.
   if (shm_transport_)
     opts.on_seal = +[](void* c, int s, int d) {
       static_cast<Ctx*>(c)->dp->publish_bucket(s, d);
@@ -945,10 +711,7 @@ std::uint64_t DataPlane::run_pipelined_round(Executor& ex,
       },
       +[](void* c, int d) {
         auto* x = static_cast<Ctx*>(c);
-        if (x->dp->incremental_merge())
-          x->dp->merge_shard_incremental(d, x->stamp, *x->ex);
-        else
-          x->dp->merge_shard(d, x->stamp);
+        x->dp->merge_shard(d, x->stamp);
       },
       deps, &ctx, opts);
   return close_round();
@@ -980,12 +743,6 @@ void DataPlane::watchdog_dump() const {
                  "current_cb=%d dirty=%d\n",
                  s, sh.beg, sh.end, sh.active_count, sh.current_cb,
                  static_cast<int>(sh.dirty));
-    for (int i = 0; i < sh.sched_count; ++i)
-      std::fprintf(stderr,
-                   "PW_WATCHDOG: shard %d seal point: bucket (%d -> %d) "
-                   "seals after active index %d\n",
-                   s, s, sh.sched[static_cast<std::size_t>(i)].dest,
-                   sh.sched[static_cast<std::size_t>(i)].idx);
     for (int d = 0; d < S; ++d) {
       const auto b = static_cast<std::size_t>(d) * S + s;
       const int cap = static_cast<int>(bucket_base_[b + 1] - bucket_base_[b]);
@@ -1000,27 +757,6 @@ void DataPlane::watchdog_dump() const {
   // this names the stalled links — a ring still "awaiting publish" while its
   // consumer parks is a producer that died (or withheld its seal).
   transport_->watchdog_dump();
-  if (incremental_merge()) {
-    // Scatter-cursor state of the incremental merge (§8): which feeder
-    // buckets each destination has scattered and whether its commit ran —
-    // the first thing to read on a wedged incremental close, since a merge
-    // parked in scatter-wait names its missing feeders here.
-    for (int d = 0; d < S; ++d) {
-      std::fprintf(
-          stderr,
-          "PW_WATCHDOG: dest %d scatter cursor: scattered %d of %d buckets, "
-          "committed=%d, pending senders:",
-          d, scatter_count_[static_cast<std::size_t>(d)], S,
-          static_cast<int>(commit_done_[static_cast<std::size_t>(d)]));
-      bool any = false;
-      for (int s = 0; s < S; ++s)
-        if (scatter_done_[static_cast<std::size_t>(d) * S + s] == 0) {
-          std::fprintf(stderr, " %d", s);
-          any = true;
-        }
-      std::fprintf(stderr, any ? "\n" : " none\n");
-    }
-  }
 }
 
 void DataPlane::debug_set_wrap_state(std::uint32_t round_id,

@@ -28,33 +28,9 @@
 // merge phases into one two-stage Executor dispatch, where destination shard
 // d starts merging as soon as every sender shard with arcs into d (plus d
 // itself — the merge rewrites state d's own callbacks touch) has finished
-// its callback sweep, while unrelated shards still run callbacks.
-//
-// With eager sealing (§8, default) the dependency graph refines from shard
-// granularity to BUCKET granularity: bucket (s → d) is sealed the moment the
-// last active node of sender shard s with arcs into d has run — not at the
-// end of s's whole sweep. The seal point per (shard, destination) is the
-// index of that last active node within the shard's active slice, computable
-// the moment the active set is materialized (a node's reachable destination
-// shards are a static property of its arcs), so on skewed rounds a
-// destination's merge can start while the bulk of a big sender shard's sweep
-// is still ahead of it. The self edge (d → d) still seals at sweep end: d's
-// merge rewrites wake words, runs, and the delivery region d's own callbacks
-// read.
-//
-// With the INCREMENTAL merge (§8, opt-in via ExecutionPolicy::incremental)
-// the merge itself splits into a scatter phase and a commit phase:
-// destination d's merge task starts the moment d's OWN sweep ends (the self
-// seal) and SCATTERS each feeder bucket — fan-in counting, wake discovery,
-// fault verdicts — as that bucket seals, in arrival order, parking between
-// seals. Scattering is order-independent (counts are additive, wake dedup is
-// epoch-keyed, min/max are monotone) so arrival order is safe fault-free;
-// under faults the per-destination delay queue is append-order-sensitive, so
-// a faulty merge scatters in ascending sender order instead, still bucket by
-// bucket as seals arrive. The COMMIT phase (run-offset assignment, the
-// stable delivery copy, seal-point rebuild) runs after all buckets scattered
-// and walks buckets in ascending sender order exactly like the other closes
-// — delivery traces stay bit-identical in every mode.
+// its callback sweep, while unrelated shards still run callbacks. A sender
+// shard seals its whole out-row when its sweep returns (the shard-granular
+// close).
 #pragma once
 
 #include <cstdint>
@@ -74,14 +50,6 @@ namespace pw::sim {
 
 class DataPlane {
  public:
-  // `eager_seal` arms the bucket-granular seal metadata of §8: per-round seal
-  // points are computed whenever a shard's active set is materialized and
-  // consumed by run_pipelined_round()'s stage-1 sweeps. Engines that will
-  // never close rounds pipelined pass false and skip the bookkeeping.
-  // `incremental` (requires eager_seal) arms the incremental merge of §8 —
-  // run_pipelined_round() dispatches scattering merge tasks that consume
-  // feeder buckets as they seal instead of launching after the last one.
-  //
   // A non-null `faults` with faults->enabled() arms the fault-injection plane
   // (§9): the merge becomes the single fault choke point, the delivery arena
   // triples (worst case per arc per round: one delayed-due arrival plus a
@@ -91,17 +59,15 @@ class DataPlane {
   // `transport` (§10) selects what carries sealed buckets between shards:
   // kInProc aliases the merge's receive views to the staging arena (the
   // identity transport — zero behavior change), kShmRing serializes each
-  // bucket into a shared-memory SPSC ring at its seal point and the merge
+  // bucket into a shared-memory SPSC ring at its seal and the merge
   // deserializes before reading. Single-shard planes have no cross-shard
   // links and degenerate to kInProc whatever was requested.
-  DataPlane(const graph::Graph& g, int max_shards, bool eager_seal = true,
-            bool incremental = false, const FaultPolicy* faults = nullptr,
+  DataPlane(const graph::Graph& g, int max_shards,
+            const FaultPolicy* faults = nullptr,
             TransportKind transport = TransportKind::kInProc);
 
   int num_shards() const { return num_shards_; }
   int shard_of(int v) const { return v >> shard_shift_; }
-  bool eager_seal() const { return eager_seal_ && num_shards_ > 1; }
-  bool incremental_merge() const { return incremental_ && eager_seal(); }
   // The transport actually armed (kInProc when a single-shard plane
   // degenerated a kShmRing request).
   TransportKind transport_kind() const { return transport_->kind(); }
@@ -123,9 +89,7 @@ class DataPlane {
   // Stages one message from v along `port` for next-round delivery. Enforces
   // the one-message-per-arc-per-round rule and, during a shard-parallel
   // callback phase, that v IS the node whose callback is running (§7
-  // contract — see set_current_callback; sends on behalf of a sibling would
-  // defeat the per-bucket seal points of the eager close, which are computed
-  // from each active node's own arcs). On a multi-shard plane, manual
+  // contract — see set_current_callback). On a multi-shard plane, manual
   // (non-dispatched) sends must additionally come in non-decreasing sender
   // id within a round (checked): the merge reconstructs ascending-sender
   // delivery order, which equals the sequential engine's send-call order
@@ -205,33 +169,6 @@ class DataPlane {
   // close disabled; run_pipelined_round() is the overlapped equivalent.
   std::uint64_t end_round(Executor& ex);
 
-  // One eager-seal point of a shard's stage-1 sweep (§8): after the callback
-  // of the active node at index `idx` of the shard's active slice returns,
-  // bucket (this shard → dest) can never grow again this round and must be
-  // sealed (Executor::seal). idx == -1 marks a destination with no active
-  // feeder this round — its (possibly capacity-carrying, but empty) bucket
-  // seals before the sweep's first callback. The self edge is NOT in the
-  // schedule: it seals after the whole sweep, unconditionally.
-  struct SealPoint {
-    int idx = -1;
-    int dest = 0;
-  };
-
-  // Shard s's seal schedule for its NEXT sweep as a sender, sorted ascending
-  // by (idx, dest) — refreshed whenever the shard's active slice is
-  // materialized, valid until the next materialization. Engine::run's
-  // eager-sealed sweep walks this in lockstep with the active slice so the
-  // user callback stays inlined in the sweep loop. Empty when eager_seal()
-  // is off. When the materialized slice is the FULL shard (every node
-  // active, the common case on flood fronts) this points at a schedule
-  // precomputed once at construction — the last feeder per destination is a
-  // static graph property then, so the per-round backward scan is skipped
-  // entirely (§8).
-  std::span<const SealPoint> seal_schedule(int s) const {
-    const Shard& sh = shards_[static_cast<std::size_t>(s)];
-    return {sh.sched, static_cast<std::size_t>(sh.sched_count)};
-  }
-
   // The pipelined round close (§8): one two-stage Executor dispatch that
   // runs the callback sweep of every shard (stage 1) and merges destination
   // shards (stage 2) as their incoming traffic completes, overlapping merges
@@ -239,14 +176,9 @@ class DataPlane {
   //   for (s) sweep(ctx, s);  // shard-parallel
   //   end_round(ex);
   // with bit-identical delivery, active order, and totals — merge order
-  // within a destination shard is unchanged; only the schedule moves.
-  //
-  // With eager_seal() the caller's sweep must ALSO issue the bucket seals of
-  // the shard's seal_schedule() plus the trailing self-edge seal (what
-  // Engine::run's eager sweep does, keeping the user callback inlined);
-  // `caller_seals` below is wired to eager_seal() accordingly. Without it
-  // the sweep just iterates and the executor seals the shard's whole
-  // out-list when the sweep returns. Callbacks run under the same §7
+  // within a destination shard is unchanged; only the schedule moves. The
+  // sweep just iterates; the executor seals the shard's whole out-list when
+  // it returns. Callbacks run under the same §7
   // contract as Engine::run's barriered dispatch; the caller brackets this
   // with set_parallel_callbacks(). Requires num_shards() > 1. Returns the
   // number of messages staged.
@@ -266,12 +198,10 @@ class DataPlane {
   bool in_parallel_callbacks() const { return parallel_callbacks_; }
 
   // Watchdog dump (§9): prints each shard's sweep position (current_cb,
-  // active slice), per-bucket seal state — schedule entries plus cursor
-  // fills — and, under the incremental merge, each destination's
-  // scatter-cursor state (which buckets scattered, whether the commit ran)
-  // to stderr. Called by the executor's watchdog right before it aborts a
-  // wedged close; reads without synchronization (every surviving thread is
-  // parked, and the process is about to die anyway).
+  // active slice) and per-bucket cursor fills to stderr. Called by the
+  // executor's watchdog right before it aborts a wedged close; reads without
+  // synchronization (every surviving thread is parked, and the process is
+  // about to die anyway).
   void watchdog_dump() const;
 
   // TEST HOOK (wrap coverage): jumps the round id and wake epoch to arbitrary
@@ -279,10 +209,7 @@ class DataPlane {
   // epoch wrap execute inside a test instead of once a geological age. Legal
   // only on a quiescent plane (no staged traffic, no scheduled wakes); both
   // stamp families and the wake words are cleared exactly like the real wrap
-  // paths clear them, so no stale stamp can alias the new id range. Seal
-  // metadata is positional (indices into active slices), not stamp-based, and
-  // is recomputed at every materialization — the forced-wrap tests pin that
-  // it survives both wraps.
+  // paths clear them, so no stale stamp can alias the new id range.
   void debug_set_wrap_state(std::uint32_t round_id, std::uint64_t wake_epoch);
 
  private:
@@ -333,24 +260,6 @@ class DataPlane {
     // parallel_callbacks_ is set — between dispatches it retains the last
     // invoked node (never reset; every sweep stores before each callback).
     int current_cb = -1;
-    // Eager-seal metadata for the NEXT sweep of this shard as a SENDER,
-    // refreshed by compute_seal_points() whenever the shard's active slice
-    // is materialized (merge or wake-triggered rebuild). The live schedule
-    // is sched[0 .. sched_count), sorted ascending by (idx, dest), covering
-    // every non-self destination of the shard's static out-list exactly
-    // once; it points either at seal_points (scratch, rebuilt per
-    // materialization by the backward scan) or — when the slice is the full
-    // shard — at full_seal_points, computed once at construction (§8).
-    // seal_last is scratch for the rebuild (last feeder index per
-    // destination, only out-list entries ever touched). Row-per-shard (not
-    // one S² table) so concurrent merge tasks never share a cache line
-    // through the seal metadata.
-    std::vector<SealPoint> seal_points;
-    std::vector<SealPoint> full_seal_points;
-    std::vector<int> seal_last;
-    int full_seal_count = 0;
-    const SealPoint* sched = nullptr;
-    int sched_count = 0;
   };
 
   // Ascending ids of the shard's currently-woken nodes written to `out`
@@ -359,54 +268,35 @@ class DataPlane {
   int sort_shard_wake(Shard& sh, int* out);
 
   void merge_shard(int d, std::uint32_t next_stamp);
-  // The incremental merge body (§8): runs as destination d's stage-2 task of
-  // an incremental pipeline dispatch, claimed right after d's own sweep.
-  // Scatters feeder buckets as their seals arrive via ex (arrival order
-  // fault-free, ascending sender order under faults), then commits.
-  void merge_shard_incremental(int d, std::uint32_t next_stamp, Executor& ex);
-  // Pieces the merge bodies share. scatter_due / scatter_bucket do the
-  // counting + wake discovery (+ fault verdicts and their side effects) for
-  // the delayed-due prefix / one feeder bucket; commit_shard assigns run
-  // offsets from the static delivery base, performs the stable delivery
-  // copy in ascending sender order, rebuilds the seal schedule, and retires
-  // the destination's drained frames. fate_of is the §9 verdict of one
-  // staged record, passed by value off the bucket view (both passes call it
-  // and must take identical branches; side effects only with discovery).
+  // The merge's two halves. scatter_due / scatter_bucket do the counting +
+  // wake discovery (+ fault verdicts and their side effects) for the
+  // delayed-due prefix / one feeder bucket; commit_shard assigns run offsets
+  // from the static delivery base, performs the stable delivery copy in
+  // ascending sender order, and retires the destination's drained frames.
+  // fate_of is the §9 verdict of one staged record, passed by value off the
+  // bucket view (both passes call it and must take identical branches; side
+  // effects only with discovery).
   void scatter_due(int d);
   void scatter_bucket(int d, int s);
   void commit_shard(int d, std::uint32_t next_stamp);
   // §10 transport plumbing (no-ops compiled out when the transport is
   // in-proc). publish_bucket publishes bucket (s, d)'s frame — already
   // staged in place through the bucket view, so this is a count store plus
-  // a release bump — at the bucket's seal point via the executor's on_seal
-  // hook. publish_all is the barriered close's equivalent: every bucket at
-  // once, on the caller thread, before the merges dispatch (the stamp-wrap
-  // fallback and manual end_round() loops have no seal points).
+  // a release bump — when its sender shard seals, via the executor's
+  // on_seal hook. publish_all is the barriered close's equivalent: every
+  // bucket at once, on the caller thread, before the merges dispatch (the
+  // stamp-wrap fallback and manual end_round() loops have no seals).
   void publish_bucket(int s, int d);
   void publish_all();
   void count_in(Shard& sh, int to, int k);
   Fate fate_of(int to, const Incoming& inc, int d, bool discovery);
   // Claim weight of destination d's merge for the executor's largest-first
-  // stage-2 ordering: the exact staged count when every feeder has sealed
-  // (non-incremental publishes), the static bucket-region capacity under the
-  // incremental merge (live cursors may still be written at publish time).
+  // stage-2 ordering: the exact staged count (every feeder has sealed when
+  // the executor asks).
   int merge_size(int d) const;
   void rebuild_active();
   void compact_active();
   void bump_wake_epoch();
-
-  // Rebuilds shard s's eager-seal points from its freshly materialized active
-  // slice (eager_seal() only): a backward walk over the actives' static
-  // destination-shard lists records the last feeder index per destination
-  // (early exit once every destination is pinned), then the shard's out-list
-  // (minus the self edge, which always seals at sweep end) becomes the
-  // (idx, dest)-sorted seal schedule. Allocation-free (all buffers sized at
-  // construction); runs inside the owning shard's merge task or the
-  // sequential rebuild. When the slice is the full shard it just repoints
-  // the schedule at the static all-active row (§8); build_seal_points is the
-  // shared backward scan both paths are built from.
-  void compute_seal_points(int s);
-  int build_seal_points(int s, const int* act, int count, SealPoint* out);
 
   // Handles the once-per-2^32-rounds round-id wrap (clears both stamp
   // families so a stale stamp can never equal a live id), then returns the
@@ -493,20 +383,10 @@ class DataPlane {
   // shard d iff any arc runs from s into d, plus the self edge s -> s (a
   // shard's merge rewrites wake words, runs, and the delivery region its own
   // callbacks read, so it must wait for them even with no self-arcs).
-  // Layout matches Executor::PipelineDeps. Eager sealing keeps this graph
-  // and its per-destination counters unchanged — each of the S² possible
-  // buckets still decrements its destination exactly once per round; only
-  // WHEN it does moves from sweep end to the bucket's seal point.
+  // Layout matches Executor::PipelineDeps.
   std::vector<int> seal_out_beg_;     // size S + 1
   std::vector<int> seal_out_;         // concatenated dest lists
   std::vector<int> merge_dep_count_;  // per dest shard, >= 1
-
-  // Static per-node CSR of the distinct non-self destination shards a node's
-  // arcs reach (eager_seal() only): the ingredient that makes per-(shard,
-  // dest) seal points computable at active-set materialization time — which
-  // destinations a node can feed is a property of the graph, not the round.
-  std::vector<int> node_dest_beg_;  // size n + 1
-  std::vector<int> node_dest_;
 
   // Armed fault plane (§9), or null for the fault-free hot paths. Set at
   // construction only; merge tasks touch only their own shard's queue/stats
@@ -517,23 +397,11 @@ class DataPlane {
   // delivery base and the wake-word fan-in headroom check.
   int delivery_mult_ = 1;
 
-  // Scatter-cursor bookkeeping of the incremental merge (sized S², S, S when
-  // armed; reset by close_round). Written only by destination d's merge task
-  // within a dispatch — the watchdog dump reads them unsynchronized, like
-  // everything else it prints. scatter_done_[d * S + s] marks bucket (s → d)
-  // scattered, scatter_count_[d] counts them, commit_done_[d] marks d
-  // committed.
-  std::vector<std::uint8_t> scatter_done_;
-  std::vector<int> scatter_count_;
-  std::vector<std::uint8_t> commit_done_;
-
   int active_total_ = 0;
 
   std::uint32_t round_id_ = 1;
   std::uint64_t wake_epoch_ = 1;
   bool parallel_callbacks_ = false;
-  bool eager_seal_ = false;
-  bool incremental_ = false;
   int last_manual_sender_ = -1;  // ascending-send check, multi-shard manual loops
 };
 

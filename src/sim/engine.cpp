@@ -8,12 +8,9 @@ Engine::Engine(const graph::Graph& g, ExecutionPolicy policy)
 Engine::Engine(const graph::Graph& g, ExecutionPolicy policy,
                const FaultPolicy& faults)
     : g_(&g),
-      // Eager-seal metadata is only ever consumed by the pipelined close, so
-      // a barriered-only engine skips the bookkeeping entirely. A disabled
-      // fault policy (the default) arms nothing — same engine, bit for bit.
-      dp_(g, policy.num_threads < 1 ? 1 : policy.num_threads,
-          policy.pipeline && policy.eager_seal,
-          policy.pipeline && policy.eager_seal && policy.incremental, &faults,
+      // A disabled fault policy (the default) arms nothing — same engine,
+      // bit for bit.
+      dp_(g, policy.num_threads < 1 ? 1 : policy.num_threads, &faults,
           policy.transport),
       // Shard rounding can leave fewer shards than requested threads; never
       // spawn workers that could have no shard to own.
@@ -21,7 +18,7 @@ Engine::Engine(const graph::Graph& g, ExecutionPolicy policy,
       policy_(policy),
       // The pipelined close only exists where there are phases to overlap.
       pipeline_(policy.pipeline && dp_.num_shards() > 1) {
-  // When the watchdog fires, the data plane's per-bucket seal state is the
+  // When the watchdog fires, the data plane's per-bucket fill state is the
   // half of the picture the executor cannot print itself (§9).
   exec_.set_watchdog_dump(
       +[](void* c) { static_cast<DataPlane*>(c)->watchdog_dump(); }, &dp_);

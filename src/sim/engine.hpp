@@ -89,24 +89,9 @@ class Engine {
   // scheduling property: accounting and delivery are identical either way.
   bool pipelined() const { return pipeline_ && dp_.num_shards() > 1; }
 
-  // True when the pipelined close additionally seals bucket-granular (§8,
-  // ExecutionPolicy::eager_seal): destination merges unlock the moment their
-  // last feeding callback ran, not when the whole sender sweep ends. Like
-  // pipelined(), purely a scheduling property.
-  bool eager_sealed() const { return pipelined() && dp_.eager_seal(); }
-
-  // True when destination merges additionally scatter each feeder bucket the
-  // moment it seals (§8, ExecutionPolicy::incremental): the merge overlaps
-  // with the sweeps still feeding it instead of waiting for its last seal.
-  // Commit order is unchanged, so — like the two modes above — this is purely
-  // a scheduling property.
-  bool incremental_merge() const {
-    return eager_sealed() && dp_.incremental_merge();
-  }
-
   // The transport actually carrying cross-shard buckets (§10): kShmRing when
   // requested on a multi-shard engine, else kInProc (a single shard has no
-  // links to carry). Like the close modes, purely a data-plane property —
+  // links to carry). Like pipelined(), purely a data-plane property —
   // delivery traces and accounting are bit-identical on either.
   TransportKind transport_kind() const { return dp_.transport_kind(); }
 
@@ -206,12 +191,8 @@ class Engine {
       Engine* e;
       std::remove_reference_t<F>* f;
     } ctx{this, &fn};
-    // Two whole-shard sweeps over the same ctx, both with fn inlined in the
-    // loop: the plain one (barriered dispatch, shard-sealed pipelined close,
-    // and the stamp-wrap fallback) and the eager-sealing one, which walks
-    // the shard's seal schedule in lockstep with its active slice — sealing
-    // each outgoing bucket right after its last feeder's callback, empty
-    // buckets up front, and the self edge after the whole sweep (§8).
+    // One whole-shard sweep with fn inlined in the loop, shared by the
+    // barriered dispatch, the pipelined close, and its stamp-wrap fallback.
     const auto callbacks = +[](void* c, int s) {
       auto* x = static_cast<Ctx*>(c);
       for (const int v : x->e->dp_.shard_active(s)) {
@@ -220,40 +201,14 @@ class Engine {
         x->e->exec_.tick();  // watchdog heartbeat: sweeping ≠ wedged (§9)
       }
     };
-    const auto eager_callbacks = +[](void* c, int s) {
-      auto* x = static_cast<Ctx*>(c);
-      Engine& e = *x->e;
-      const auto pts = e.dp_.seal_schedule(s);
-      const auto act = e.dp_.shard_active(s);
-      std::size_t p = 0;
-      while (p < pts.size() && pts[p].idx < 0) e.exec_.seal(pts[p++].dest);
-      for (int i = 0; i < static_cast<int>(act.size()); ++i) {
-        const int v = act[static_cast<std::size_t>(i)];
-        e.dp_.set_current_callback(s, v);
-        (*x->f)(v);
-        e.exec_.tick();  // watchdog heartbeat: sweeping ≠ wedged (§9)
-        while (p < pts.size() && pts[p].idx == i) e.exec_.seal(pts[p++].dest);
-      }
-      // A leftover seal point means the schedule disagrees with the active
-      // slice — the merge waiting on that bucket would deadlock (or worse,
-      // run early). Abort loudly instead.
-      PW_CHECK_MSG(p == pts.size(),
-                   "shard %d finished its sweep with unsealed buckets "
-                   "(seal schedule stale, DESIGN.md §8)",
-                   s);
-      // The self edge seals only after the WHOLE sweep: the shard's merge
-      // rewrites wake words, inbox runs, and the delivery region these
-      // callbacks read.
-      e.exec_.seal(s);
-    };
     while (!idle() && executed < max_rounds) {
       begin_round();
       dp_.set_parallel_callbacks(true);
       if (pipeline_) {
         // Pipelined close (§8): callbacks and the merge fuse into one
         // two-stage dispatch; only the accounting tail is sequential.
-        const std::uint64_t staged = dp_.run_pipelined_round(
-            exec_, dp_.eager_seal() ? eager_callbacks : callbacks, &ctx);
+        const std::uint64_t staged =
+            dp_.run_pipelined_round(exec_, callbacks, &ctx);
         dp_.set_parallel_callbacks(false);
         finish_round(staged);
       } else {

@@ -34,9 +34,8 @@ std::int64_t mono_ns() {
 
 #if defined(__linux__)
 // The watchdog needs TIMED parks, which std::atomic::wait cannot express, so
-// the waits it guards (dispatch barrier, merge-claim park, incremental
-// scatter wait) use the futex syscall directly — wait AND wake sides, never
-// mixed with the std:: ones.
+// the waits it guards (dispatch barrier, merge-claim park) use the futex
+// syscall directly — wait AND wake sides, never mixed with the std:: ones.
 // The generation park in worker_loop is not a deadlock class (the caller
 // always bumps it) and stays on std::atomic.
 static_assert(sizeof(std::atomic<int>) == sizeof(std::uint32_t));
@@ -87,7 +86,6 @@ const char* phase_name(int phase) {
     case 2: return "barrier-wait";
     case 3: return "claim-wait";
     case 4: return "stage2-merge";
-    case 5: return "scatter-wait";
     default: return "idle";
   }
 }
@@ -107,11 +105,6 @@ Executor::Executor(int num_threads, int watchdog_ms)
       deques_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       deque_buf_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads) *
                  static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
-      edge_sealed_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads) *
-                   static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
-      dest_seals_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
-      dest_waiters_(
-          static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       threads_state_(
           static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       num_threads_(num_threads < 1 ? 1 : num_threads) {
@@ -236,28 +229,22 @@ void Executor::watchdog_fire(int phase, int task) {
                phase_name(phase), task);
   const bool live = stage2_ != nullptr;
   std::fprintf(stderr,
-               "PW_WATCHDOG: dispatch: %s, num_tasks=%d caller_seals=%d "
-               "incremental=%d claimed=%d published_seq=%d outstanding=%d\n",
+               "PW_WATCHDOG: dispatch: %s, num_tasks=%d claimed=%d "
+               "published_seq=%d outstanding=%d\n",
                live ? "pipeline" : "barriered/none", num_tasks_,
-               static_cast<int>(caller_seals_),
-               static_cast<int>(incremental_),
                claimed_.load(std::memory_order_relaxed),
                published_seq_.load(std::memory_order_relaxed),
                outstanding_.load(std::memory_order_relaxed));
   if (live)
     for (int d = 0; d < num_tasks_; ++d)
       // ready_state: -1 = unpublished, -2 = claimed, >= 0 = published with
-      // that claim weight. dest_seals is live only under incremental.
+      // that claim weight.
       std::fprintf(
-          stderr,
-          "PW_WATCHDOG: stage2 task %d: deps_left=%d ready_state=%d "
-          "dest_seals=%d\n",
+          stderr, "PW_WATCHDOG: stage2 task %d: deps_left=%d ready_state=%d\n",
           d,
           deps_left_[static_cast<std::size_t>(d)].load(
               std::memory_order_relaxed),
           ready_state_[static_cast<std::size_t>(d)].load(
-              std::memory_order_relaxed),
-          dest_seals_[static_cast<std::size_t>(d)].load(
               std::memory_order_relaxed));
   for (int t = 0; t < num_threads_; ++t) {
     const ThreadState& st = threads_state_[static_cast<std::size_t>(t)];
@@ -316,12 +303,10 @@ void Executor::parallel(int num_tasks, TaskFn fn, void* ctx) {
 }
 
 // Publishes stage-2 task d for claiming, weighted by the caller's size hook.
-// Called on the thread whose seal triggered publication: in a
-// dependency-counter publish that thread has acquired every feeder's release
-// (so size_fn_ may read all staged inputs), in an incremental self-seal
-// publish only d's own stage-1 writes are guaranteed (the data plane uses
-// static capacities there). The release store of the weight plus the
-// claimer's acquire CAS carry the same inputs to whichever thread runs d.
+// Called on the thread whose seal dropped d's dependency counter to zero:
+// that thread has acquired every feeder's release, so size_fn_ may read all
+// staged inputs. The release store of the weight plus the claimer's acquire
+// CAS carry the same inputs to whichever thread runs d.
 void Executor::publish(int d) {
   int size = size_fn_ != nullptr ? size_fn_(ctx_, d) : 0;
   if (size < 0) size = 0;
@@ -344,13 +329,13 @@ void Executor::publish(int d) {
     // PAIR(deque-bottom): slot + ready weight published to thieves
     dq.bottom.store(b + 1, std::memory_order_release);
   }
-  // Same store-buffer handshake as the seal()/wait_dest_seals pair: the
-  // seq_cst bump vs. the parker's seq_cst registration guarantee at least
-  // one side sees the other, so the wake is CONDITIONAL on a registered
-  // waiter — no syscall when every thread is busy scanning or merging — and
-  // wakes ONE parked claimer, since one publish makes one task claimable
-  // (the old ring had the same one-wake discipline via per-slot cells; an
-  // unconditional wake-all here is a thundering herd on every publish).
+  // Store-buffer handshake with the claim loop's park: the seq_cst bump vs.
+  // the parker's seq_cst registration guarantee at least one side sees the
+  // other, so the wake is CONDITIONAL on a registered waiter — no syscall
+  // when every thread is busy scanning or merging — and wakes ONE parked
+  // claimer, since one publish makes one task claimable (the old ring had
+  // the same one-wake discipline via per-slot cells; an unconditional
+  // wake-all here is a thundering herd on every publish).
   // PAIR(published-seq): publish event, observed by the claim loop's parks
   published_seq_.fetch_add(1, std::memory_order_seq_cst);
   // PAIR(claim-waiters): Dekker read — is anyone parked on the sequence?
@@ -361,22 +346,8 @@ void Executor::publish(int d) {
 // Seals one dependency edge into stage-2 task d. The acq_rel fetch_sub
 // chains the feeders: the thread that drops a counter to zero has acquired
 // every earlier feeder's release, so its publish() carries ALL of the
-// stage-2 task's inputs to whichever thread claims it. This is the same code
-// path whether the executor seals a whole stage-1 task at once (the default)
-// or the stage-1 function seals bucket by bucket from mid-run (caller_seals)
-// — the counter cannot tell who decrements it. An incremental dispatch adds
-// the per-edge protocol (flag + counter + conditional wake) and moves
-// publication to the self seal; the counter still runs to zero for the
-// end-of-dispatch discipline check.
+// stage-2 task's inputs to whichever thread claims it.
 void Executor::seal(int d) {
-  // Outside a live multi-thread pipeline dispatch there is nothing to
-  // decrement and nobody waiting: the degenerate inline pipeline runs its
-  // stage 2 right after stage 1, and a caller-sealing sweep dispatched
-  // through parallel() (the data plane's stamp-wrap fallback) is followed by
-  // a barriered merge. stage2_ is non-null exactly while a real pipeline
-  // dispatch is live (set before the generation bump, cleared after the
-  // barrier), so it is the discriminator workers already use.
-  if (stage2_ == nullptr) return;
   if (d == withhold_dest_.load(std::memory_order_relaxed) &&
       tl_task == withhold_task_.load(std::memory_order_relaxed)) {
     // debug_withhold_seal: swallow exactly this one seal — the on-demand
@@ -385,62 +356,16 @@ void Executor::seal(int d) {
     withhold_task_.store(-1, std::memory_order_relaxed);
     return;
   }
-  // Transport publish hook (§10): runs on the sealing thread before the edge
-  // flag rises and before the dependency counter drops, so the seal's own
-  // release chain is what carries the published frame to the merge.
+  // Transport publish hook (§10): runs on the sealing thread before the
+  // dependency counter drops, so the seal's own release chain is what carries
+  // the published frame to the merge.
   if (seal_fn_ != nullptr) seal_fn_(ctx_, tl_task, d);
   progress_.fetch_add(1, std::memory_order_relaxed);
-  if (incremental_) {
-    // Raise the edge flag FIRST (release: publishes the staged bucket), then
-    // bump the seal-event counter a parked scatter wait watches. The seq_cst
-    // bump vs. the waiter's seq_cst registration is a store-buffer handshake:
-    // at least one side sees the other, so either the waiter re-checks a
-    // fresh count and skips the park or the sealer sees the waiter and wakes.
-    // PAIR(edge-sealed): bucket (tl_task, d)'s staged contents published to
-    // the scattering merge's edge_sealed() acquire
-    edge_sealed_[static_cast<std::size_t>(tl_task) *
-                     static_cast<std::size_t>(num_threads_) +
-                 static_cast<std::size_t>(d)]
-        .store(1, std::memory_order_release);
-    auto& seals = dest_seals_[static_cast<std::size_t>(d)];
-    // PAIR(dest-seals): seal event, observed by the scatter wait's parks
-    seals.fetch_add(1, std::memory_order_seq_cst);
-    // PAIR(dest-waiters): Dekker read — is the merge parked on this dest?
-    if (dest_waiters_[static_cast<std::size_t>(d)].load(
-            std::memory_order_seq_cst) != 0)
-      futex_wake_all(&seals);
-  }
   // PAIR(deps-left): RMW chain — each decrement acquires every earlier
   // feeder's release, so the zero-dropper holds ALL of d's inputs
   if (deps_left_[static_cast<std::size_t>(d)].fetch_sub(
-          1, std::memory_order_acq_rel) == 1) {
-    if (!incremental_) publish(d);
-  }
-  // Incremental publication rule (§8): d's merge mutates wake state d's own
-  // callbacks write, so it becomes claimable exactly when d's sweep is done
-  // — the (d, d) self seal — independent of the other feeders.
-  if (incremental_ && tl_task == d) publish(d);
-}
-
-int Executor::wait_dest_seals(int d, int seen) {
-  auto& seals = dest_seals_[static_cast<std::size_t>(d)];
-  // PAIR(dest-seals): acquire the sealed buckets behind the new count
-  int v = seals.load(std::memory_order_acquire);
-  if (v != seen) return v;
-  auto& waiters = dest_waiters_[static_cast<std::size_t>(d)];
-  // PAIR(dest-waiters): Dekker write — register before the re-check so the
-  // sealing side's read cannot miss this parker
-  waiters.fetch_add(1, std::memory_order_seq_cst);
-  // PAIR(dest-seals): re-check after registration (store-buffer handshake)
-  v = seals.load(std::memory_order_seq_cst);
-  if (v == seen) v = wait_watched(seals, seen, kPhaseScatter, d);
-  waiters.fetch_sub(1, std::memory_order_relaxed);
-  // wait_watched left the phase at idle; the caller is still inside its
-  // claimed stage-2 merge, so restore that for the watchdog dump.
-  ThreadState& st = threads_state_[static_cast<std::size_t>(tl_thread)];
-  st.phase.store(kPhaseStage2, std::memory_order_relaxed);
-  st.task.store(tl_task, std::memory_order_relaxed);
-  return v;
+          1, std::memory_order_acq_rel) == 1)
+    publish(d);
 }
 
 // Owner-side pop (Chase-Lev take): claim the bottom entry of this thread's
@@ -522,9 +447,8 @@ int Executor::deque_steal(int idx) {
 }
 
 // The per-thread body of a pipeline() dispatch: stage-1 task idx (if the
-// thread owns one), then the seal (unless the stage-1 fn sealed eagerly
-// itself), then the work-stealing claim loop over the published stage-2
-// tasks.
+// thread owns one), then the seal of its whole out-list, then the
+// work-stealing claim loop over the published stage-2 tasks.
 void Executor::pipeline_thread(int idx) {
   ThreadState& st = threads_state_[static_cast<std::size_t>(idx)];
   if (idx < num_tasks_) {
@@ -532,9 +456,8 @@ void Executor::pipeline_thread(int idx) {
     st.task.store(idx, std::memory_order_relaxed);
     tl_task = idx;
     fn_(ctx_, idx);
-    if (!caller_seals_)
-      for (int i = deps_.out_beg[idx]; i < deps_.out_beg[idx + 1]; ++i)
-        seal(deps_.out[i]);
+    for (int i = deps_.out_beg[idx]; i < deps_.out_beg[idx + 1]; ++i)
+      seal(deps_.out[i]);
     tl_task = -1;
     progress_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -624,12 +547,10 @@ void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
                         const PipelineOpts& opts) {
   PW_CHECK(num_tasks >= 1 && num_tasks <= num_threads_);
   PW_CHECK(tl_task == -1);  // no nested dispatch
-  PW_CHECK(!opts.incremental || opts.caller_seals);
   tl_thread = 0;
   if (workers_.empty() || num_tasks == 1) {
     // Degenerate pipeline: the single stage-1 task followed by its only
-    // dependent, inline on the caller. A caller-sealing stage1 still issues
-    // its seal() calls; they no-op (stage2_ stays null on this path).
+    // dependent, inline on the caller — nothing to seal, nobody to wait.
     tl_task = 0;
     stage1(ctx, 0);
     stage2(ctx, 0);
@@ -641,16 +562,7 @@ void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
                                                   std::memory_order_relaxed);
     ready_state_[static_cast<std::size_t>(d)].store(kReadyUnpublished,
                                                     std::memory_order_relaxed);
-    dest_seals_[static_cast<std::size_t>(d)].store(0,
-                                                   std::memory_order_relaxed);
   }
-  if (opts.incremental)
-    for (int s = 0; s < num_tasks; ++s)
-      for (int d = 0; d < num_tasks; ++d)
-        edge_sealed_[static_cast<std::size_t>(s) *
-                         static_cast<std::size_t>(num_threads_) +
-                     static_cast<std::size_t>(d)]
-            .store(0, std::memory_order_relaxed);
   // Claim deques restart empty each dispatch (fixed buffers, no wraparound);
   // the generation release bump below publishes the resets to the workers,
   // and the previous dispatch's barrier means nobody is still popping.
@@ -669,8 +581,6 @@ void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
   deps_ = deps;
   ctx_ = ctx;
   num_tasks_ = num_tasks;
-  caller_seals_ = opts.caller_seals;
-  incremental_ = opts.incremental;
   size_fn_ = opts.size_of;
   seal_fn_ = opts.on_seal;
   outstanding_.store(static_cast<int>(workers_.size()), std::memory_order_relaxed);
@@ -681,14 +591,12 @@ void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
   pipeline_thread(0);
   wait_barrier();
   stage2_ = nullptr;
-  incremental_ = false;
   size_fn_ = nullptr;
   seal_fn_ = nullptr;
-  // Every dependency edge must have been sealed exactly once — under
-  // caller_seals that discipline lives in the stage-1 functions, so verify
-  // it: a missed seal would have deadlocked a merge (the claim loop above
-  // would never return), a double seal leaves a counter negative here and
-  // could have published a stage-2 task twice.
+  // Every dependency edge must have been sealed exactly once: a missed seal
+  // would have deadlocked a merge (the claim loop above would never return),
+  // a double seal leaves a counter negative here and could have published a
+  // stage-2 task twice.
   for (int d = 0; d < num_tasks; ++d)
     PW_CHECK_MSG(
         deps_left_[static_cast<std::size_t>(d)].load(

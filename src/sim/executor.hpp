@@ -22,27 +22,10 @@
 // exactly once on whichever thread wins its claim CAS — the deques only
 // schedule, they never own (see ClaimDeque below).
 //
-// Sealing comes in two granularities (DESIGN.md §8): by default the executor
-// seals a whole stage-1 task when its function returns (every out-edge at
-// once). With caller_seals the stage-1 function instead calls seal(d) itself,
-// edge by edge, from INSIDE its run — the data plane uses this to seal bucket
-// (s, d) the moment the last active sender of shard s with arcs into d has
-// executed, publishing destination merges while most of the sweep is still
-// running. The dependency counters don't care who decrements them; a
-// caller-seals stage-1 task must issue exactly its out-degree of seal()
-// calls (checked after the dispatch: every counter must be zero).
-//
-// On top of caller_seals, an `incremental` dispatch (DESIGN.md §8, the
-// three-stage seal → scatter → commit close) changes WHEN a stage-2 task
-// becomes claimable: instead of waiting for its dependency counter to reach
-// zero (all feeders sealed), stage-2 task d is published the moment its own
-// stage-1 task seals the (d, d) self edge — i.e. as soon as d's sweep is
-// done, since the merge mutates per-node wake state that d's callbacks also
-// write. The claimed merge then consumes the remaining feeder buckets one by
-// one as they seal, observing per-edge sealed flags and parking on a
-// per-destination seal-event counter (wait_dest_seals) between arrivals.
-// Those waits go through the same watchdog machinery as the claim wait, so a
-// withheld feeder seal still dies with a diagnostic dump instead of hanging.
+// A stage-1 task SEALS when its function returns: every out-edge at once,
+// decrementing the dependency counters of the stage-2 tasks it feeds. The
+// thread that drops a counter to zero publishes that stage-2 task
+// (DESIGN.md §8, the shard-granular close).
 #pragma once
 
 #include <algorithm>
@@ -58,7 +41,7 @@ namespace pw::sim {
 // senders wrote, ordered by the §8 seal machinery alone. The pre-§10 engine,
 // bit for bit, and the default. kShmRing — sealed buckets are serialized
 // into fixed-width SPSC shared-memory rings (one per nonzero cross-shard
-// link) at their seal points and deserialized by the consuming merge;
+// link) at their seals and deserialized by the consuming merge;
 // delivery traces stay bit-identical, messages just really cross a
 // serialization boundary. Engines with a single shard have no links and
 // silently degenerate to kInProc. Defined here rather than transport.hpp so
@@ -78,39 +61,23 @@ enum class TransportKind : std::uint8_t { kInProc = 0, kShmRing = 1 };
 // barrier between the callback and merge phases. Accounting stays
 // bit-identical either way; the flag exists so benchmarks can measure both
 // modes and bisection can rule the overlap machinery in or out.
-// `eager_seal` (default on, meaningful only when `pipeline` is in effect)
-// selects the bucket-granular seal of §8: stage-1 callback sweeps seal each
-// (sender, destination) bucket as soon as the last active sender with arcs
-// into that destination has run, instead of sealing the whole shard at sweep
-// end — on skewed rounds destination merges start while most callbacks are
-// still running. Off = the shard-granular pipelined close (the PR 3
-// behavior), kept as a bisection/benchmark switch like `pipeline` itself.
-// `incremental` (default OFF, meaningful only with `pipeline && eager_seal`)
-// selects the fully incremental merge of §8: a destination's merge task is
-// claimable the moment its OWN callback sweep finishes and scatters each
-// feeder bucket as it seals, instead of launching only after ALL feeders
-// sealed — on skewed rounds the hot destination no longer idles behind its
-// slowest sender. Delivery traces, accounting, and fault verdicts stay
-// bit-identical to every other mode; the flag is opt-in because its
-// wall-clock payoff needs real cores to verify (ROADMAP: gate promotion),
-// and benchmarks record it as close mode 3.
 // `watchdog_ms` (default 60 s, 0 = off) arms the no-progress watchdog of
 // DESIGN.md §9 on the executor's blocking waits: if a pipelined-close wait
-// (the dispatch barrier, a merge-claim park, or an incremental scatter wait)
-// sees no executor-wide progress for a full window, the run aborts with a
-// diagnostic dump — dependency counters, publish states, per-thread stage,
-// per-bucket seal and scatter-cursor states — instead of hanging CI forever.
-// The known failure class it converts into a diagnosis is a missed seal
-// (§8); the PW_WATCHDOG_MS environment variable overrides the policy value
-// for whole-process tuning.
+// (the dispatch barrier or a merge-claim park) sees no executor-wide progress
+// for a full window, the run aborts with a diagnostic dump — dependency
+// counters, publish states, per-thread stage, per-bucket fills — instead of
+// hanging CI forever. The known failure class it converts into a diagnosis
+// is a missed seal (§8); the PW_WATCHDOG_MS environment variable overrides
+// the policy value for whole-process tuning.
 // `transport` (default kInProc) selects what carries sealed buckets between
-// shards — see TransportKind above. Purely a data-plane property: every
-// close mode, the fault plane, and the accounting run unchanged on either.
+// shards — see TransportKind above. Purely a data-plane property: both
+// close modes, the fault plane, and the accounting run unchanged on either.
+// Spell multi-field policies with designated initializers
+// (`{.num_threads = 4, .pipeline = false}`), so a removed or reordered field
+// is a compile error rather than a silent shift into the next one.
 struct ExecutionPolicy {
   int num_threads = 1;
   bool pipeline = true;
-  bool eager_seal = true;
-  bool incremental = false;
   int watchdog_ms = 60000;
   TransportKind transport = TransportKind::kInProc;
 
@@ -139,24 +106,19 @@ class Executor {
     const int* dep_count = nullptr;  // size num_tasks, each >= 1
   };
 
-  // Per-dispatch knobs for pipeline(). caller_seals and incremental are the
-  // two seal/claim protocol upgrades described at the top of this file
-  // (incremental requires caller_seals). size_of, when non-null, is invoked
+  // Per-dispatch knobs for pipeline(). size_of, when non-null, is invoked
   // on the publishing thread as size_of(ctx, d) to weight stage-2 task d for
-  // the largest-first claim order; it must be safe to call at publish time
-  // (for a dependency-counter publish every feeder has sealed, for an
-  // incremental publish only d's own stage-1 task has). Null = all tasks
-  // weigh 0 and claims fall back to lowest-index-first.
+  // the largest-first claim order; every feeder of d has sealed by then, so
+  // it may read all of d's staged inputs. Null = all tasks weigh 0 and
+  // claims fall back to lowest-index-first.
   // on_seal, when non-null, is invoked as on_seal(ctx, s, d) at the top of
-  // every effective seal of edge (s → d) — caller-issued or automatic — on
-  // the sealing thread, BEFORE the edge flag rises and the dependency
-  // counter drops. The data plane publishes bucket (s, d) on its transport
-  // there (§10): the seal's release chain then carries the published frame
-  // to whichever thread merges d. A withheld seal (debug_withhold_seal)
-  // suppresses the hook too — it models the seal never happening.
+  // every effective seal of edge (s → d), on the sealing thread, BEFORE the
+  // dependency counter drops. The data plane publishes bucket (s, d) on its
+  // transport there (§10): the seal's release chain then carries the
+  // published frame to whichever thread merges d. A withheld seal
+  // (debug_withhold_seal) suppresses the hook too — it models the seal never
+  // happening.
   struct PipelineOpts {
-    bool caller_seals = false;
-    bool incremental = false;
     int (*size_of)(void* ctx, int d) = nullptr;
     void (*on_seal)(void* ctx, int s, int d) = nullptr;
   };
@@ -187,20 +149,9 @@ class Executor {
   // for one task overlaps stage-1 work of tasks it does not depend on.
   // Returns when both stages finished everywhere (a full barrier like
   // parallel()); there is no barrier BETWEEN the stages. Not reentrant, and
-  // this_task() inside a stage-2 task reports the stage-2 task id.
-  //
-  // With opts.caller_seals the automatic end-of-task seal is suppressed:
-  // stage1 must call seal(d) exactly once for every d in its deps.out list,
-  // at any point during (or after) its run — the bucket-granular eager seal
-  // of §8. Either way the dispatch ends with every dependency counter at
-  // zero (checked: a missed seal would deadlock a merge, a double seal could
-  // run one twice).
-  //
-  // With opts.incremental (requires caller_seals) stage-2 task d is instead
-  // published when its own stage-1 task seals the (d, d) self edge; the
-  // stage-2 function consumes the remaining feeder seals via edge_sealed() /
-  // wait_dest_seals() as they arrive. Dependency counters still run to zero
-  // and are checked identically — they just no longer gate publication.
+  // this_task() inside a stage-2 task reports the stage-2 task id. The
+  // dispatch ends with every dependency counter at zero (checked: a missed
+  // seal would deadlock a merge, a double seal could run one twice).
   void pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
                 const PipelineDeps& deps, void* ctx,
                 const PipelineOpts& opts);
@@ -209,45 +160,6 @@ class Executor {
   // the enclosing class).
   void pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
                 const PipelineDeps& deps, void* ctx);
-
-  // Seals one dependency edge into stage-2 task d from inside a running
-  // stage-1 task of a caller_seals pipeline() dispatch: decrements d's
-  // dependency counter (acq_rel, so everything the caller wrote for d is
-  // published) and, on reaching zero, publishes d (in an incremental
-  // dispatch, publication instead happens on the (d, d) self seal, and every
-  // seal additionally raises the per-edge sealed flag and bumps d's
-  // seal-event counter). The caller must own the edge (each (stage-1 task,
-  // d) edge seals exactly once). No-op outside a multi-thread pipeline
-  // dispatch so the degenerate inline path can share the stage-1 code.
-  void seal(int d);
-
-  // --- incremental-merge protocol (§8) --------------------------------------
-  // Valid only inside an incremental pipeline() dispatch, called by the
-  // stage-2 function that claimed task d.
-
-  // True once stage-1 task s has sealed its edge into stage-2 task d
-  // (acquire: the bucket contents s staged for d are visible on true).
-  bool edge_sealed(int s, int d) const {
-    // PAIR(edge-sealed): acquire bucket (s, d)'s staged contents on true
-    return edge_sealed_[static_cast<std::size_t>(s) *
-                            static_cast<std::size_t>(num_threads_) +
-                        static_cast<std::size_t>(d)]
-               .load(std::memory_order_acquire) != 0;
-  }
-
-  // Count of seal events observed for stage-2 task d so far this dispatch.
-  // Pair with wait_dest_seals: snapshot, scan edge_sealed(), park on the
-  // snapshot if nothing new.
-  int dest_seals(int d) const {
-    // PAIR(dest-seals): acquire the buckets behind the observed count
-    return dest_seals_[static_cast<std::size_t>(d)].load(
-        std::memory_order_acquire);
-  }
-
-  // Blocks until dest_seals(d) differs from `seen` and returns the new
-  // count, parking on the watchdog-guarded timed futex (§9) — a feeder seal
-  // that never arrives becomes a diagnostic abort, not a hang.
-  int wait_dest_seals(int d, int seen);
 
   // True when no dispatch is in flight (all workers have finished their
   // tasks and reported). Between dispatches this is the executor's resting
@@ -272,16 +184,17 @@ class Executor {
   void tick();
 
   // Registers the owner's state dump, appended to the executor's own when
-  // the watchdog fires (the data plane prints per-bucket seal states there).
+  // the watchdog fires (the data plane prints per-bucket fills there).
   void set_watchdog_dump(void (*fn)(void*), void* ctx) {
     dump_fn_ = fn;
     dump_ctx_ = ctx;
   }
 
-  // TEST HOOK (§9): the next seal() call by stage-1 task `task` for stage-2
-  // task `dest` is swallowed — the missed-seal deadlock class, on demand.
-  // dest's dependency counter never reaches zero, some claim wait never
-  // returns, and the watchdog must convert the hang into a diagnostic abort.
+  // TEST HOOK (§9): the next seal by stage-1 task `task` of its edge into
+  // stage-2 task `dest` is swallowed — the missed-seal deadlock class, on
+  // demand. dest's dependency counter never reaches zero, some claim wait
+  // never returns, and the watchdog must convert the hang into a diagnostic
+  // abort.
   void debug_withhold_seal(int task, int dest) {
     withhold_task_.store(task, std::memory_order_relaxed);
     withhold_dest_.store(dest, std::memory_order_relaxed);
@@ -302,7 +215,6 @@ class Executor {
     kPhaseBarrier,
     kPhaseClaim,
     kPhaseStage2,
-    kPhaseScatter,  // stage-2 merge parked for the next feeder seal (§8)
   };
   // ready_state_ publish protocol values; any value >= 0 is a published,
   // unclaimed task carrying its size_of weight.
@@ -315,6 +227,10 @@ class Executor {
   void pipeline_thread(int idx);
   void wait_barrier();
   void publish(int d);
+  // Seals one dependency edge of the running stage-1 task into stage-2 task
+  // d: decrements d's dependency counter (acq_rel, so everything the task
+  // wrote for d is published) and, on reaching zero, publishes d.
+  void seal(int d);
   int deque_take(int idx);
   int deque_steal(int idx);
 
@@ -333,8 +249,6 @@ class Executor {
   PipelineDeps deps_{};
   int num_tasks_ = 0;
   bool stop_ = false;
-  bool caller_seals_ = false;  // stage-1 fns issue their own seal() calls
-  bool incremental_ = false;   // self-seal publication + scatter waits (§8)
   int (*size_fn_)(void*, int) = nullptr;  // largest-first claim weights
   void (*seal_fn_)(void*, int, int) = nullptr;  // §10 transport publish hook
   // Dispatch protocol: fn_/ctx_/stage2_/deps_/num_tasks_/stop_ and the
@@ -353,9 +267,10 @@ class Executor {
   // threads pick the same largest entry. published_seq_ counts publishes
   // (plus the final claim) and is the single futex claimers park on;
   // claimed_ counts claims so threads know when the dispatch is drained.
-  // claim_waiters_ counts threads parked on published_seq_ (same seq_cst
-  // handshake as dest_waiters_), so a publish skips the wake syscall when
-  // nobody sleeps and wakes one claimer — not the herd — when somebody does.
+  // claim_waiters_ counts threads parked on published_seq_ (a seq_cst
+  // store-buffer handshake against the publish bump), so a publish skips the
+  // wake syscall when nobody sleeps and wakes one claimer — not the herd —
+  // when somebody does.
   // SHARED-LINE(vector headers, cold after construction — the contended
   // elements live in the heap blocks, spaced by the §8 claim protocol)
   std::vector<std::atomic<int>> deps_left_;
@@ -385,19 +300,6 @@ class Executor {
   std::atomic<int> published_seq_{0};
   std::atomic<int> claimed_{0};
   std::atomic<int> claim_waiters_{0};
-  // Incremental-merge protocol state (§8): edge_sealed_[s * T + d] is the
-  // per-edge sealed flag (release on seal, acquire in edge_sealed() — the
-  // happens-before edge that publishes bucket (s, d)'s staged contents to
-  // the scattering merge); dest_seals_[d] counts d's seal events and is the
-  // futex a scatter wait parks on; dest_waiters_[d] tells the sealing side
-  // whether anyone is parked there (seq_cst handshake against the counter
-  // bump, so the wake syscall is skipped on the common uncontended path).
-  // SHARED-LINE(vector headers, cold after construction — seal flags and
-  // counters live in the heap blocks, one write per edge per round)
-  std::vector<std::atomic<int>> edge_sealed_;
-  std::vector<std::atomic<int>> dest_seals_;
-  std::vector<std::atomic<int>> dest_waiters_;
-
   // Watchdog state (§9). progress_ is bumped (relaxed) by every seal, stage
   // completion, and dispatch exit; together with the per-thread tick counters
   // it forms the progress signature a blocked wait compares across timeout

@@ -14,7 +14,7 @@
 // round. No RNG state advances, no ordering is consumed: the verdict for a
 // message is a pure function of the policy seed and values every execution
 // policy agrees on. A fixed FaultPolicy therefore produces BIT-IDENTICAL
-// delivery traces across {1} ∪ {2,4} × {barriered, pipelined, eager-sealed}
+// delivery traces across {1} ∪ {2,4} × {barriered, pipelined}
 // (pinned by tests/engine_fault_test.cpp) — the engine's central determinism
 // invariant survives the chaos plane by construction.
 //

@@ -1,7 +1,7 @@
 // Transport layer of the sharded data plane (DESIGN.md §10).
 //
 // The bucket layout of §8 — (sender shard, destination shard) staging buckets
-// with exact arc-count capacities, sealed at deterministic per-round points,
+// with exact arc-count capacities, sealed when their sender's sweep ends,
 // consumed by the ascending-sender merge — is a network message schedule in
 // everything but name. This header makes that literal: every bucket the data
 // plane stages into or merges from is a per-bucket VIEW owned by a Transport,
@@ -33,7 +33,7 @@
 //     the staging arena exactly like the in-proc transport (the loopback
 //     link carries no ring and no copy). Because the §8 dependency machinery
 //     already guarantees publish-happens-before-drain, the in-engine drain is
-//     non-blocking: ring indices are ASSERTED, not waited on, so all four
+//     non-blocking: ring indices are ASSERTED, not waited on, so both
 //     close modes and the §9 fault choke point run unchanged on top of
 //     rings. The segment really is shared memory (MAP_SHARED |
 //     MAP_ANONYMOUS): a child forked after construction sees the same rings
@@ -212,7 +212,7 @@ struct BucketView {
 // data-plane construction (the views are stable for the transport's
 // lifetime); per round and per bucket the calls are:
 //   publish(s, d, count) — bucket (s → d) is final; called at its §8 seal
-//                          point (or in a pre-merge pass under the barriered
+//                          (or in a pre-merge pass under the barriered
 //                          close) on the thread that owns sender shard s.
 //   drain(s, d, count)   — called by destination d's merge task before its
 //                          first read of the bucket; purely an assertion

@@ -26,19 +26,10 @@
 #include "src/apps/sssp.hpp"
 #include "src/apps/verification.hpp"
 #include "src/core/noleader.hpp"
+#include "tests/policy_matrix.hpp"
 
 namespace pw::bench {
 namespace {
-
-constexpr sim::ExecutionPolicy kPolicies[] = {
-    {1, false, false, false},  //
-    {2, false, false, false},
-    {2, true, false, false},
-    {2, true, true, false},
-    {4, false, false, false},
-    {4, true, false, false},
-    {4, true, true, false},
-    {4, true, true, true}};
 
 // Canonical capture of one run: the app result flattened to words, plus the
 // engine accounting. Policy must not move any of it.
@@ -50,15 +41,13 @@ struct Capture {
 
 template <class F>
 void expect_policy_invariant(const char* what, F&& run) {
-  const Capture ref = run(kPolicies[0]);
+  const Capture ref = run(sim::kPolicies[0]);
   ASSERT_FALSE(ref.result.empty()) << what;
   ASSERT_GT(ref.messages, 0u) << what;
-  for (const auto policy : kPolicies) {
+  for (const auto policy : sim::kPolicies) {
     if (policy.num_threads == 1) continue;
     const Capture got = run(policy);
-    const auto label =
-        std::string(what) + " @" + std::to_string(policy.num_threads) +
-        (policy.pipeline ? (policy.eager_seal ? "+pipe+eager" : "+pipe") : "");
+    const auto label = std::string(what) + " " + sim::policy_name(policy);
     EXPECT_EQ(got.result, ref.result) << label;
     EXPECT_EQ(got.rounds, ref.rounds) << label;
     EXPECT_EQ(got.messages, ref.messages) << label;

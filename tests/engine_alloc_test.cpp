@@ -11,6 +11,7 @@
 #include "bench/workloads.hpp"
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
+#include "tests/policy_matrix.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
@@ -58,21 +59,15 @@ TEST(EngineAlloc, DenseSteadyStateRoundLoopAllocatesNothing) {
 // The sharded plane preserves the contract: per-shard wake lists, staging
 // buckets, and the worker pool are all sized at construction, and a futex
 // dispatch allocates nothing. (Thread spawn happens in the ctor, before the
-// counted window.) All four round-close modes are covered: the pipelined
-// two-stage dispatch (DESIGN.md §8) reuses dependency counters and per-task
-// publish states sized at construction, the eager seal's per-round seal
-// points are rebuilt in place (fixed-size per-shard arrays, std::sort over
-// at most S-1 elements; all-active rounds reuse the static schedule built at
-// construction), and the incremental merge's scatter cursors are fixed
-// arrays too — all must be allocation-free.
+// counted window.) Every parallel policy of the shared matrix is covered:
+// the pipelined two-stage dispatch (DESIGN.md §8) reuses dependency counters,
+// per-task publish states, and claim deques sized at construction, so it
+// must be as allocation-free as the barriered one.
 TEST(EngineAlloc, ShardedSteadyStateRoundLoopAllocatesNothing) {
   Rng rng(1);
   const auto g = graph::gen::random_connected(2048, 6144, rng);
-  constexpr ExecutionPolicy kModes[] = {{4, false, false},
-                                        {4, true, false},
-                                        {4, true, true},
-                                        {4, true, true, true}};
-  for (const auto policy : kModes) {
+  for (const auto policy : kPolicies) {
+    if (policy.num_threads == 1) continue;
     Engine eng(g, policy);
     std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
     flood_phase(eng, seen);
@@ -82,8 +77,8 @@ TEST(EngineAlloc, ShardedSteadyStateRoundLoopAllocatesNothing) {
     for (int i = 0; i < 5; ++i) flood_phase(eng, seen);
     const std::uint64_t after = g_news.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
-        << "heap allocation in the sharded round loop (pipeline="
-        << policy.pipeline << ", eager_seal=" << policy.eager_seal << ")";
+        << "heap allocation in the sharded round loop under "
+        << policy_name(policy);
   }
 }
 

@@ -17,6 +17,7 @@
 #include "bench/common.hpp"
 #include "src/apps/mst.hpp"
 #include "src/core/noleader.hpp"
+#include "tests/policy_matrix.hpp"
 
 namespace pw::bench {
 namespace {
@@ -62,29 +63,11 @@ std::vector<Instance> instances() {
   return out;
 }
 
-// Every case runs under the sequential engine AND the sharded parallel one,
-// with the end-of-round merge barriered (DESIGN.md §7), pipelined into the
-// callback phase at shard granularity, pipelined with the eager per-bucket
-// seal, and with the incremental per-bucket scatter (§8): parallelism lives
-// below the accounting layer, so every policy must reproduce the goldens
-// bit-for-bit.
-constexpr sim::ExecutionPolicy kPolicies[] = {
-    {1, false, false, false},  //
-    {2, false, false, false},
-    {2, true, false, false},
-    {2, true, true, false},
-    {2, true, true, true},
-    {4, false, false, false},
-    {4, true, false, false},
-    {4, true, true, false},
-    {4, true, true, true}};
-
-const char* mode_suffix(const sim::ExecutionPolicy& p) {
-  return !p.pipeline      ? ""
-         : !p.eager_seal  ? "+pipe"
-         : !p.incremental ? "+pipe+eager"
-                          : "+pipe+eager+inc";
-}
+// Every case runs under every entry of the shared policy matrix — the
+// sequential engine and the sharded one at {2,4} threads, with the
+// end-of-round merge barriered (DESIGN.md §7) or pipelined into the callback
+// phase (§8): parallelism lives below the accounting layer, so every policy
+// must reproduce the goldens bit-for-bit.
 
 // The manual-round-loop traces below always close rounds through the
 // barriered end_round() (the pipelined overlap only applies to run(), §8),
@@ -125,28 +108,27 @@ TEST(EngineDeterminism, GoldenCountsPerFamilyAtEveryThreadCount) {
   for (std::size_t i = 0; i < insts.size(); ++i) {
     const auto& inst = insts[i];
     ASSERT_EQ(std::string(kGolden[i].family), inst.name);
-    for (const auto policy : kPolicies) {
-      const int threads = policy.num_threads;
+    for (const auto policy : sim::kPolicies) {
       const auto bfs = run_bfs(inst, policy);
       const auto mst = run_mst(inst, policy);
       const auto nl = run_noleader(inst, policy);
-      if (threads == 1)
+      if (policy.num_threads == 1)
         std::printf("GOLDEN {\"%s\", %" PRIu64 ", %" PRIu64 ", %" PRIu64
                     ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 "},\n",
                     inst.name.c_str(), bfs.rounds, bfs.messages, mst.rounds,
                     mst.messages, nl.rounds, nl.messages);
       EXPECT_EQ(bfs.rounds, kGolden[i].bfs_rounds)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " " << sim::policy_name(policy);
       EXPECT_EQ(bfs.messages, kGolden[i].bfs_messages)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " " << sim::policy_name(policy);
       EXPECT_EQ(mst.rounds, kGolden[i].mst_rounds)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " " << sim::policy_name(policy);
       EXPECT_EQ(mst.messages, kGolden[i].mst_messages)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " " << sim::policy_name(policy);
       EXPECT_EQ(nl.rounds, kGolden[i].nl_rounds)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " " << sim::policy_name(policy);
       EXPECT_EQ(nl.messages, kGolden[i].nl_messages)
-          << inst.name << " @" << threads << mode_suffix(policy);
+          << inst.name << " " << sim::policy_name(policy);
     }
   }
 }

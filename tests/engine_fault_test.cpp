@@ -6,12 +6,11 @@
 // (seed, round, receiver-side arc), nodes crash and reboot on a fixed
 // schedule. Because every verdict is a pure function of that triple, a fixed
 // seed must produce BIT-IDENTICAL delivery traces across every execution
-// policy — {1} ∪ {2,4} × {barriered, pipelined, eager, incremental} —
-// including under the
-// forced round-id / wake-epoch wraps. These tests pin that, the exact
-// drop/delay/dup/crash semantics on tiny graphs where the schedule can be
-// computed by hand, the ARQ workload's completion guarantee under chaos, and
-// the §9 watchdog: a forcibly withheld bucket seal must abort the wedged
+// policy — {1} ∪ {2,4} × {barriered, pipelined}, each over both
+// transports — including under the forced round-id / wake-epoch wraps.
+// These tests pin that, the exact drop/delay/dup/crash semantics on tiny
+// graphs where the schedule can be computed by hand, the ARQ workload's
+// completion guarantee under chaos, and the §9 watchdog: a forcibly withheld bucket seal must abort the wedged
 // close with a dependency-counter dump instead of hanging forever.
 #include <gtest/gtest.h>
 
@@ -25,36 +24,17 @@
 #include "src/apps/arq.hpp"
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
+#include "tests/policy_matrix.hpp"
 
 namespace pw::sim {
 namespace {
 
 using graph::Graph;
 
-// {2,4} threads × {barriered, shard-sealed pipelined, eager-sealed
-// pipelined, incremental}; index 0 is the sequential reference. The default
-// 60 s watchdog stays armed, so every parallel test here doubles as "an
-// armed watchdog never fires on a live engine".
-constexpr ExecutionPolicy kAllPolicies[] = {
-    {1, false, false, false},  //
-    {2, false, false, false},
-    {2, true, false, false},
-    {2, true, true, false},
-    {2, true, true, true},
-    {4, false, false, false},
-    {4, true, false, false},
-    {4, true, true, false},
-    {4, true, true, true}};
-
-std::string label(const ExecutionPolicy& p) {
-  std::string out = p.num_threads == 1 ? "sequential"
-                    : !p.pipeline      ? "barriered"
-                    : !p.eager_seal    ? "pipelined"
-                    : p.incremental    ? "pipelined+eager+inc"
-                                       : "pipelined+eager";
-  if (p.transport == TransportKind::kShmRing) out += "/shm";
-  return out;
-}
+// The default 60 s watchdog stays armed in the shared policy matrix, so
+// every parallel test here doubles as "an armed watchdog never fires on a
+// live engine". The exact-semantics tests below run on the sequential engine.
+constexpr ExecutionPolicy kSequential{.num_threads = 1, .pipeline = false};
 
 // Full per-node observation trace of a faulty run: every (activation, from,
 // port, payload) tuple each callback sees, in order, plus the engine totals
@@ -81,16 +61,16 @@ template <class Drive>
 void expect_fault_trace_equal_across_policies(const Graph& g,
                                               const FaultPolicy& faults,
                                               Drive&& drive) {
-  const auto reference = fault_trace_of(g, kAllPolicies[0], faults, drive);
-  for (auto policy : kAllPolicies) {
+  const auto reference = fault_trace_of(g, kPolicies[0], faults, drive);
+  for (auto policy : kPolicies) {
     if (policy.num_threads == 1) continue;
     EXPECT_EQ(reference, fault_trace_of(g, policy, faults, drive))
-        << label(policy) << " @" << policy.num_threads;
+        << policy_name(policy);
     // The §9 verdicts apply at the merge's receive views, so swapping the
     // §10 transport under the same policy must not move a single fate.
     policy.transport = TransportKind::kShmRing;
     EXPECT_EQ(reference, fault_trace_of(g, policy, faults, drive))
-        << label(policy) << " @" << policy.num_threads;
+        << policy_name(policy);
   }
 }
 
@@ -204,14 +184,14 @@ TEST(FaultTrace, IdenticalUnderForcedWraps) {
   expect_fault_trace_equal_across_policies(g, faults, wrap_drive);
 }
 
-// Satellite of the incremental merge (§8): the merge is the fault plane's
-// single choke point, and the incremental close both reorders fault-free
-// scatters (arrival order) and blocks per bucket under faults to keep the
-// per-destination delay queues in append order. Seven policy configurations
-// spanning every verdict type — and their compositions — must produce
-// bit-identical traces AND fault counters under the incremental merge at
-// {2,4} threads vs the sequential reference.
-TEST(FaultTrace, SevenFaultConfigsIdenticalUnderIncrementalMerge) {
+// The merge is the fault plane's single choke point, and under the pipelined
+// close destination merges run while other shards still sweep, so each
+// per-destination delay queue fills concurrently with unrelated callbacks.
+// Seven fault configurations spanning every verdict type — and their
+// compositions — must produce bit-identical traces AND fault counters under
+// the pipelined close at {2,4} threads, on both transports, vs the
+// sequential reference.
+TEST(FaultTrace, SevenFaultConfigsIdenticalUnderPipelinedClose) {
   const Graph g = graph::gen::grid(8, 8);
   std::vector<FaultPolicy> configs(7);
   for (std::size_t i = 0; i < configs.size(); ++i)
@@ -235,14 +215,14 @@ TEST(FaultTrace, SevenFaultConfigsIdenticalUnderIncrementalMerge) {
   configs[6].crashes = {{9, 1, 4}, {41, 3, 6}};
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const auto reference =
-        fault_trace_of(g, kAllPolicies[0], configs[i], chatter_drive);
-    for (const int threads : {2, 4}) {
-      ExecutionPolicy inc{threads, true, true, true};
-      EXPECT_EQ(reference, fault_trace_of(g, inc, configs[i], chatter_drive))
-          << "config " << i << " @" << threads;
-      inc.transport = TransportKind::kShmRing;
-      EXPECT_EQ(reference, fault_trace_of(g, inc, configs[i], chatter_drive))
-          << "config " << i << " @" << threads << " shm";
+        fault_trace_of(g, kPolicies[0], configs[i], chatter_drive);
+    for (auto policy : kPolicies) {
+      if (policy.num_threads == 1 || !policy.pipeline) continue;
+      EXPECT_EQ(reference, fault_trace_of(g, policy, configs[i], chatter_drive))
+          << "config " << i << " " << policy_name(policy);
+      policy.transport = TransportKind::kShmRing;
+      EXPECT_EQ(reference, fault_trace_of(g, policy, configs[i], chatter_drive))
+          << "config " << i << " " << policy_name(policy);
     }
   }
 }
@@ -252,11 +232,11 @@ TEST(FaultTrace, SameSeedReproducesDifferentSeedDiverges) {
   FaultPolicy faults;
   faults.seed = 1234;
   faults.drop_prob = 0.5;
-  const auto a = fault_trace_of(g, kAllPolicies[0], faults, flood_drive);
-  const auto b = fault_trace_of(g, kAllPolicies[0], faults, flood_drive);
+  const auto a = fault_trace_of(g, kPolicies[0], faults, flood_drive);
+  const auto b = fault_trace_of(g, kPolicies[0], faults, flood_drive);
   EXPECT_EQ(a, b);
   faults.seed = 1235;
-  const auto c = fault_trace_of(g, kAllPolicies[0], faults, flood_drive);
+  const auto c = fault_trace_of(g, kPolicies[0], faults, flood_drive);
   EXPECT_NE(a, c);
 }
 
@@ -267,7 +247,7 @@ TEST(FaultTrace, SameSeedReproducesDifferentSeedDiverges) {
 TEST(FaultSemantics, DelayArrivesExactlyLate) {
   const Graph g = graph::gen::path(2);
   const auto rounds_with = [&](const FaultPolicy& faults) {
-    Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+    Engine eng(g, kSequential, faults);
     std::uint64_t seen_at = 0;
     eng.wake(0);
     const std::uint64_t executed = eng.run([&](int v) {
@@ -286,7 +266,7 @@ TEST(FaultSemantics, DelayArrivesExactlyLate) {
   FaultPolicy delayed;
   delayed.delay_prob = 1.0;
   delayed.delay_rounds = 3;
-  Engine probe(g, ExecutionPolicy{1, false, false}, delayed);
+  Engine probe(g, kSequential, delayed);
   EXPECT_TRUE(probe.faulty());
   EXPECT_EQ(rounds_with(delayed), plain + 3);
 }
@@ -297,7 +277,7 @@ TEST(FaultSemantics, DupDeliversTwice) {
   const Graph g = graph::gen::path(2);
   FaultPolicy faults;
   faults.dup_prob = 1.0;
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, kSequential, faults);
   std::size_t seen = 0;
   eng.wake(0);
   eng.run([&](int v) {
@@ -318,7 +298,7 @@ TEST(FaultSemantics, DropEverythingTerminates) {
   const Graph g = graph::gen::star(9);
   FaultPolicy faults;
   faults.drop_prob = 1.0;
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, kSequential, faults);
   std::vector<char> ran(static_cast<std::size_t>(g.n()), 0);
   eng.wake(0);
   eng.run([&](int v) {
@@ -337,7 +317,7 @@ TEST(FaultSemantics, CrashShedsAndReboots) {
   const Graph g = graph::gen::path(2);
   FaultPolicy faults;
   faults.crashes = {{1, 0, 4}};  // node 1 down for rounds 0..3, up at 4
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, kSequential, faults);
   std::vector<std::uint64_t> node1_rounds;
   int node0_left = 5;
   eng.wake(1);  // targets round 0, node down -> suppressed
@@ -369,7 +349,7 @@ TEST(FaultSemantics, CrashShedsAndReboots) {
 
 TEST(FaultSemantics, FaultFreeEngineReportsNothing) {
   const Graph g = graph::gen::path(4);
-  Engine eng(g, ExecutionPolicy{1, false, false});
+  Engine eng(g, kSequential);
   EXPECT_FALSE(eng.faulty());
   const FaultStats fs = eng.fault_stats();
   EXPECT_EQ(fs.messages_dropped, 0u);
@@ -384,7 +364,7 @@ TEST(FaultSemantics, DrainClearsDelayedTraffic) {
   FaultPolicy faults;
   faults.delay_prob = 1.0;
   faults.delay_rounds = 5;
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, kSequential, faults);
   eng.wake(0);
   eng.run([&](int v) { eng.send(v, 0, Msg{1, 0, 0, 0}); }, 1);
   EXPECT_FALSE(eng.idle());  // the message is parked in a delay queue
@@ -402,21 +382,21 @@ void expect_arq_converges(const Graph& g, const FaultPolicy& faults,
                           std::uint64_t min_retransmissions) {
   apps::ArqResult ref;
   bool have_ref = false;
-  for (const auto policy : kAllPolicies) {
+  for (const auto policy : kPolicies) {
     Engine eng(g, policy, faults);
     const apps::ArqResult r = apps::arq_flood(eng, 0, 0xabcdef);
-    EXPECT_TRUE(r.completed) << label(policy);
+    EXPECT_TRUE(r.completed) << policy_name(policy);
     apps::validate_arq(g, r, 0xabcdef);
-    EXPECT_GE(r.retransmissions, min_retransmissions) << label(policy);
+    EXPECT_GE(r.retransmissions, min_retransmissions) << policy_name(policy);
     if (!have_ref) {
       ref = r;
       have_ref = true;
       continue;
     }
-    EXPECT_EQ(ref.token, r.token) << label(policy);
-    EXPECT_EQ(ref.executed_rounds, r.executed_rounds) << label(policy);
-    EXPECT_EQ(ref.data_sends, r.data_sends) << label(policy);
-    EXPECT_EQ(ref.retransmissions, r.retransmissions) << label(policy);
+    EXPECT_EQ(ref.token, r.token) << policy_name(policy);
+    EXPECT_EQ(ref.executed_rounds, r.executed_rounds) << policy_name(policy);
+    EXPECT_EQ(ref.data_sends, r.data_sends) << policy_name(policy);
+    EXPECT_EQ(ref.retransmissions, r.retransmissions) << policy_name(policy);
   }
 }
 
@@ -424,12 +404,12 @@ void expect_arq_converges(const Graph& g, const FaultPolicy& faults,
 // must not retransmit a single frame on any policy.
 TEST(Arq, FaultFreeNeverRetransmits) {
   const Graph g = graph::gen::grid(6, 6);
-  for (const auto policy : kAllPolicies) {
+  for (const auto policy : kPolicies) {
     Engine eng(g, policy);
     const apps::ArqResult r = apps::arq_flood(eng, 0, 42);
-    EXPECT_TRUE(r.completed) << label(policy);
+    EXPECT_TRUE(r.completed) << policy_name(policy);
     apps::validate_arq(g, r, 42);
-    EXPECT_EQ(r.retransmissions, 0u) << label(policy);
+    EXPECT_EQ(r.retransmissions, 0u) << policy_name(policy);
   }
 }
 
@@ -470,7 +450,7 @@ TEST(Arq, TotalLossTerminatesOnBudget) {
   const Graph g = graph::gen::cycle(8);
   FaultPolicy faults;
   faults.drop_prob = 1.0;
-  Engine eng(g, ExecutionPolicy{1, false, false}, faults);
+  Engine eng(g, kSequential, faults);
   apps::ArqConfig cfg;
   cfg.max_rounds = 64;
   const apps::ArqResult r = apps::arq_flood(eng, 0, 9, cfg);
@@ -503,7 +483,7 @@ TEST(Arq, ChaosSeedSweep) {
 // progress, even on a long multi-round parallel run.
 TEST(Watchdog, ArmedRunCompletes) {
   const Graph g = graph::gen::grid(8, 8);
-  for (const auto base : kAllPolicies) {
+  for (const auto base : kPolicies) {
     if (base.num_threads == 1) continue;
     ExecutionPolicy policy = base;
     policy.watchdog_ms = 200;
@@ -511,7 +491,7 @@ TEST(Watchdog, ArmedRunCompletes) {
     std::vector<std::vector<std::uint64_t>> trace(
         static_cast<std::size_t>(g.n()));
     chatter_drive(eng, trace);
-    EXPECT_GT(eng.rounds(), 0u) << label(policy);
+    EXPECT_GT(eng.rounds(), 0u) << policy_name(policy);
   }
 }
 
@@ -527,8 +507,8 @@ TEST(Watchdog, ArmedRunCompletes) {
 // watchdog must abort with the dependency-counter dump ("deps_left" is
 // printed only by the §9 diagnostics) instead of hanging.
 [[maybe_unused]] void run_with_withheld_seal(const Graph& g) {
-  ExecutionPolicy policy{4, true, true};
-  policy.watchdog_ms = 1000;
+  const ExecutionPolicy policy{
+      .num_threads = 4, .pipeline = true, .watchdog_ms = 1000};
   Engine eng(g, policy);
   eng.debug_withhold_seal(1, 0);
   std::vector<std::vector<std::uint64_t>> trace(
@@ -544,32 +524,6 @@ TEST(Watchdog, WithheldSealAbortsWithDiagnostics) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   const Graph g = graph::gen::grid(8, 8);
   EXPECT_DEATH(run_with_withheld_seal(g), "deps_left");
-#endif
-}
-
-// Same wedge under the INCREMENTAL merge: the claimed merge for dest 0 parks
-// in its scatter wait for the seal task 1 never issues, and the dump must
-// include the per-destination scatter-cursor lines (sealed/scattered/
-// committed state — printed only by the incremental §9 diagnostics) so the
-// missing feeder is identifiable.
-[[maybe_unused]] void run_incremental_with_withheld_seal(const Graph& g) {
-  ExecutionPolicy policy{4, true, true, true};
-  policy.watchdog_ms = 1000;
-  Engine eng(g, policy);
-  eng.debug_withhold_seal(1, 0);
-  std::vector<std::vector<std::uint64_t>> trace(
-      static_cast<std::size_t>(g.n()));
-  chatter_drive(eng, trace);
-}
-
-TEST(Watchdog, WithheldSealUnderIncrementalMergeDumpsScatterCursors) {
-#ifdef PW_UNDER_TSAN
-  GTEST_SKIP() << "death test forks after threads exist; the watchdog dump "
-                  "intentionally reads racing counters TSan would flag";
-#else
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  const Graph g = graph::gen::grid(8, 8);
-  EXPECT_DEATH(run_incremental_with_withheld_seal(g), "scatter cursor");
 #endif
 }
 

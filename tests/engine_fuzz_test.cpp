@@ -5,9 +5,9 @@
 // graph (family × size) and a random callback program (which ports each
 // activation sends on, payloads, self-wakes, and a mid-run drain segment),
 // then replays the identical program on the sequential engine and on every
-// parallel configuration: {2,4} threads × {barriered, pipelined, eager,
-// incremental} × {in-proc, shm-ring transport}, plus a fault-policy sample
-// of the whole matrix. Every replay must produce a bit-identical full
+// parallel configuration: {2,4} threads × {barriered, pipelined} ×
+// {in-proc, shm-ring transport}, plus a fault-policy sample of the whole
+// matrix. Every replay must produce a bit-identical full
 // observation trace (per-node inbox tuples in order, totals, fault
 // counters).
 //
@@ -26,6 +26,7 @@
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
 #include "src/util/rng.hpp"
+#include "tests/policy_matrix.hpp"
 
 namespace pw::sim {
 namespace {
@@ -144,26 +145,6 @@ std::vector<std::vector<std::uint64_t>> fuzz_trace(
   return trace;
 }
 
-// The configuration matrix one instance is replayed across.
-constexpr ExecutionPolicy kFuzzPolicies[] = {
-    {2, false, false, false},  //
-    {2, true, false, false},   //
-    {2, true, true, false},    //
-    {2, true, true, true},     //
-    {4, false, false, false},  //
-    {4, true, false, false},   //
-    {4, true, true, false},    //
-    {4, true, true, true}};
-
-std::string label(const ExecutionPolicy& p) {
-  std::string out = !p.pipeline   ? "barriered"
-                    : !p.eager_seal ? "pipelined"
-                    : p.incremental ? "pipelined+eager+inc"
-                                    : "pipelined+eager";
-  out += p.transport == TransportKind::kShmRing ? "/shm" : "/inproc";
-  return out + "@" + std::to_string(p.num_threads);
-}
-
 // The fault-policy sample: fault-free, drop-only, mixed, and crash+mixed —
 // one representative of each §9 verdict family.
 std::vector<FaultPolicy> fault_sample(std::uint64_t seed, int n) {
@@ -200,26 +181,25 @@ TEST(EngineFuzz, TraceIdenticalAcrossFullConfigMatrix) {
     const auto faults = fault_sample(seed, g.n());
     for (std::size_t f = 0; f < faults.size(); ++f) {
       const auto reference =
-          fuzz_trace(g, seed, ExecutionPolicy{1, false, false, false},
-                     faults[f]);
+          fuzz_trace(g, seed, kPolicies[0], faults[f]);
       total_messages += reference[reference.size() - 2][1];
-      for (ExecutionPolicy policy : kFuzzPolicies) {
+      for (ExecutionPolicy policy : kPolicies) {
+        if (policy.num_threads == 1) continue;
         EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
-            << label(policy) << " fault-config " << f << " n=" << g.n();
+            << policy_name(policy) << " fault-config " << f << " n=" << g.n();
         policy.transport = TransportKind::kShmRing;
         EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
-            << label(policy) << " fault-config " << f << " n=" << g.n();
-        // Extra soak on the deepest configuration — the incremental merge
-        // over the in-place shm wire path stacks every protocol (eager
-        // seals, scatter waits, frame publish/retire, deque claims), so it
-        // gets PW_FUZZ_INC_SHM_REPS more replays than the rest of the
-        // matrix.
-        if (policy.incremental) {
-          const std::uint64_t reps = env_u64("PW_FUZZ_INC_SHM_REPS", 2);
+            << policy_name(policy) << " fault-config " << f << " n=" << g.n();
+        // Extra soak on the deepest configuration — 4-thread pipelined over
+        // the in-place shm wire path stacks every protocol (overlapped
+        // merges, frame publish/retire, deque claims), so it gets
+        // PW_FUZZ_SOAK_REPS more replays than the rest of the matrix.
+        if (policy.num_threads == 4 && policy.pipeline) {
+          const std::uint64_t reps = env_u64("PW_FUZZ_SOAK_REPS", 2);
           for (std::uint64_t r = 0; r < reps; ++r)
             EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
-                << label(policy) << " soak rep " << r << " fault-config " << f
-                << " n=" << g.n();
+                << policy_name(policy) << " soak rep " << r
+                << " fault-config " << f << " n=" << g.n();
         }
       }
     }

@@ -21,8 +21,10 @@ using graph::Graph;
 // Manual-round-loop tests close rounds through the barriered merge whatever
 // the flag says; run()-based tests below sweep both close modes explicitly
 // (the pipelined close has its own suite, engine_pipeline_test.cpp).
-constexpr ExecutionPolicy kSharded{4, false};
-constexpr ExecutionPolicy kClosePolicies[] = {{4, false}, {4, true}};
+constexpr ExecutionPolicy kSharded{.num_threads = 4, .pipeline = false};
+constexpr ExecutionPolicy kClosePolicies[] = {
+    {.num_threads = 4, .pipeline = false},
+    {.num_threads = 4, .pipeline = true}};
 
 // Mirror of EngineStress.DrainDiscardsInFlightTrafficWithoutCorruptingLaterRounds
 // with the data plane split into 4 shards: drain() must discard delivered-but-

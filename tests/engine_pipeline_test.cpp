@@ -15,40 +15,23 @@
 
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
+#include "tests/policy_matrix.hpp"
 
 namespace pw::sim {
 namespace {
 
 using graph::Graph;
 
-// All three pipelined granularities (§8): shard-sealed (a sender's buckets
-// all seal when its sweep returns), eager-sealed (each bucket seals at its
-// per-round seal point, mid-sweep), and incremental (merges additionally
-// scatter each bucket as it seals). Identical observables, different
-// schedules — most tests here sweep them all.
-constexpr ExecutionPolicy kPipelined{4, true, false};
-constexpr ExecutionPolicy kEager{4, true, true};
-constexpr ExecutionPolicy kIncremental{4, true, true, true};
-constexpr ExecutionPolicy kBarriered{4, false};
+constexpr ExecutionPolicy kPipelined{.num_threads = 4, .pipeline = true};
+constexpr ExecutionPolicy kBarriered{.num_threads = 4, .pipeline = false};
 
 TEST(EnginePipeline, PolicySelectsThePipelinedClose) {
   Graph g = graph::gen::path(64);
   EXPECT_TRUE(Engine(g, kPipelined).pipelined());
-  EXPECT_FALSE(Engine(g, kPipelined).eager_sealed());
-  EXPECT_TRUE(Engine(g, kEager).pipelined());
-  EXPECT_TRUE(Engine(g, kEager).eager_sealed());
-  EXPECT_FALSE(Engine(g, kEager).incremental_merge());
-  EXPECT_TRUE(Engine(g, kIncremental).eager_sealed());
-  EXPECT_TRUE(Engine(g, kIncremental).incremental_merge());
   EXPECT_FALSE(Engine(g, kBarriered).pipelined());
-  EXPECT_FALSE(Engine(g, kBarriered).eager_sealed());
-  // Incremental requires the eager seal underneath; without it the flag is
-  // inert, not a new mode.
-  EXPECT_FALSE(Engine(g, ExecutionPolicy{4, true, false, true}).incremental_merge());
-  // One shard has no phases to overlap: the flags degrade to sequential.
-  EXPECT_FALSE(Engine(g, ExecutionPolicy{1, true}).pipelined());
-  EXPECT_FALSE(Engine(g, ExecutionPolicy{1, true, true}).eager_sealed());
-  EXPECT_FALSE(Engine(g, ExecutionPolicy{1, true, true, true}).incremental_merge());
+  // One shard has no phases to overlap: the flag degrades to sequential.
+  constexpr ExecutionPolicy kOneShard{.num_threads = 1, .pipeline = true};
+  EXPECT_FALSE(Engine(g, kOneShard).pipelined());
 }
 
 // Full per-node delivery traces — every (activation, from, port, payload)
@@ -86,14 +69,9 @@ TEST(EnginePipeline, PerNodeDeliveryTraceMatchesSequential) {
     return trace;
   };
 
-  const auto reference = trace_with(ExecutionPolicy{1});
-  EXPECT_EQ(reference, trace_with(kPipelined));
-  EXPECT_EQ(reference, trace_with(kEager));
-  EXPECT_EQ(reference, trace_with(kIncremental));
-  EXPECT_EQ(reference, trace_with(kBarriered));
-  EXPECT_EQ(reference, trace_with(ExecutionPolicy{2, true, false}));
-  EXPECT_EQ(reference, trace_with(ExecutionPolicy{2, true, true}));
-  EXPECT_EQ(reference, trace_with(ExecutionPolicy{2, true, true, true}));
+  const auto reference = trace_with(kPolicies[0]);
+  for (const auto policy : kPolicies)
+    EXPECT_EQ(reference, trace_with(policy)) << policy_name(policy);
 }
 
 // The hub of a star sits in shard 0 and its merge depends on every other
@@ -101,7 +79,7 @@ TEST(EnginePipeline, PerNodeDeliveryTraceMatchesSequential) {
 // column. The hub must still see one intact inbox in ascending sender order.
 TEST(EnginePipeline, AdversarialFanInAcrossShards) {
   const Graph g = graph::gen::star(64);
-  for (const auto policy : {kPipelined, kEager, kIncremental}) {
+  for (const auto policy : kPolicies) {
     Engine eng(g, policy);
     std::vector<std::uint64_t> hub_inbox;  // only node 0's callback writes this
     for (int v = 1; v < g.n(); ++v) eng.wake(v);
@@ -118,7 +96,9 @@ TEST(EnginePipeline, AdversarialFanInAcrossShards) {
     });
     ASSERT_EQ(hub_inbox.size(), 63u);
     for (std::size_t i = 0; i < hub_inbox.size(); ++i)
-      EXPECT_EQ(hub_inbox[i], i + 1) << "ascending sender order broke at " << i;
+      EXPECT_EQ(hub_inbox[i], i + 1)
+          << "ascending sender order broke at " << i << " under "
+          << policy_name(policy);
   }
 }
 
@@ -146,11 +126,9 @@ TEST(EnginePipeline, SelfRewakeWithTrafficAcrossModes) {
       EXPECT_EQ(activations[static_cast<std::size_t>(v)].load(), 5) << v;
     return std::pair{eng.rounds(), eng.messages()};
   };
-  const auto reference = totals(ExecutionPolicy{1});
-  EXPECT_EQ(reference, totals(kPipelined));
-  EXPECT_EQ(reference, totals(kEager));
-  EXPECT_EQ(reference, totals(kIncremental));
-  EXPECT_EQ(reference, totals(kBarriered));
+  const auto reference = totals(kPolicies[0]);
+  for (const auto policy : kPolicies)
+    EXPECT_EQ(reference, totals(policy)) << policy_name(policy);
 }
 
 // drain() between pipelined phases: a budgeted run() exits with poison
@@ -232,7 +210,7 @@ TEST(EnginePipeline, PhasesRepeatIdentically) {
 // few shards that exist.
 TEST(EnginePipeline, MoreThreadsThanNodes) {
   const Graph g = graph::gen::path(3);
-  Engine eng(g, ExecutionPolicy{16, true});
+  Engine eng(g, ExecutionPolicy{.num_threads = 16, .pipeline = true});
   eng.wake(0);
   std::atomic<int> deliveries{0};
   eng.run([&](int v) {

@@ -1,16 +1,14 @@
-// Eager per-bucket sealing of the pipelined round close (DESIGN.md §8).
+// Seal-shape adversaries of the pipelined round close (DESIGN.md §8).
 //
-// With ExecutionPolicy::eager_seal a destination shard's merge no longer
-// waits for a sender shard's ENTIRE callback sweep: bucket (s → d) seals the
-// moment the last active node of s with arcs into d has run, so on skewed
-// rounds merges start while most callbacks are still running. Everything
-// observable must stay BIT-IDENTICAL to the sequential engine across
-// {1} ∪ {2,4} × {barriered, pipelined, eager-sealed, incremental}. These tests
-// pin that under the adversarial shapes eager sealing introduces — a sender
-// shard whose last feeder runs first vs last in the sweep, buckets with
-// capacity but zero staged traffic, rounds whose traffic never crosses a
-// shard boundary — plus the stamp/epoch wrap fallbacks and the hardened
-// drain() protocol.
+// A sender shard seals its buckets when its sweep returns, and destination
+// d's merge starts once every feeder of d (and d itself) has sealed. Every
+// observable must stay BIT-IDENTICAL to the sequential engine across the
+// shared policy matrix ({1} ∪ {2,4} × {barriered, pipelined}). These tests
+// pin that under the shapes that stress the seal/merge handoff — a hot
+// sender shard whose one cross-shard feeder runs first vs last in the sweep,
+// buckets with capacity but zero staged traffic, rounds whose traffic never
+// crosses a shard boundary — plus the stamp/epoch wrap fallbacks and the
+// hardened drain() protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,31 +18,12 @@
 
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
+#include "tests/policy_matrix.hpp"
 
 namespace pw::sim {
 namespace {
 
 using graph::Graph;
-
-// {2,4} threads × {barriered, shard-sealed pipelined, eager-sealed
-// pipelined, incremental}; index 0 is the sequential reference.
-constexpr ExecutionPolicy kAllPolicies[] = {
-    {1, false, false, false},  //
-    {2, false, false, false},
-    {2, true, false, false},
-    {2, true, true, false},
-    {2, true, true, true},
-    {4, false, false, false},
-    {4, true, false, false},
-    {4, true, true, false},
-    {4, true, true, true}};
-
-const char* label(const ExecutionPolicy& p) {
-  if (p.num_threads == 1) return "sequential";
-  if (!p.pipeline) return "barriered";
-  if (!p.eager_seal) return "pipelined";
-  return p.incremental ? "pipelined+eager+inc" : "pipelined+eager";
-}
 
 // Full per-node delivery trace of a flood driven by `fn`-agnostic rules:
 // every (activation, from, port, payload) tuple each callback observes, in
@@ -65,11 +44,10 @@ std::vector<std::vector<std::uint64_t>> trace_of(const Graph& g,
 
 template <class Drive>
 void expect_trace_equal_across_policies(const Graph& g, Drive&& drive) {
-  const auto reference = trace_of(g, kAllPolicies[0], drive);
-  for (const auto policy : kAllPolicies) {
+  const auto reference = trace_of(g, kPolicies[0], drive);
+  for (const auto policy : kPolicies) {
     if (policy.num_threads == 1) continue;
-    EXPECT_EQ(reference, trace_of(g, policy, drive))
-        << label(policy) << " @" << policy.num_threads;
+    EXPECT_EQ(reference, trace_of(g, policy, drive)) << policy_name(policy);
   }
 }
 
@@ -101,11 +79,10 @@ void flood_drive(Engine& eng, std::vector<std::vector<std::uint64_t>>& trace) {
 
 // 64 nodes; under ExecutionPolicy{4} shards are {0..15}, {16..31}, {32..47},
 // {48..63}. The top shard runs a long busy chain every round, and its ONLY
-// arc into the bottom shard leaves from `feeder` — put the feeder at the
-// front of the sweep (48) and the bucket (3 → 0) seals after the sweep's
-// FIRST callback, at the back (63) and it seals after the LAST. Chains in
-// the other shards give every bucket pair some capacity to exercise empty
-// seals too.
+// arc into the bottom shard leaves from `feeder` — at the front of the sweep
+// (48) or at the back (63), so bucket (3 → 0) is complete early or late in
+// the sweep that seals it. Chains in the other shards give every bucket pair
+// some capacity to exercise empty seals too.
 Graph skewed_star(int feeder) {
   std::vector<graph::Edge> es;
   es.push_back({0, feeder, 1});
@@ -149,8 +126,8 @@ TEST(EngineSeal, PlainFloodOnSkewedStar) {
 
 // Buckets with CAPACITY but zero staged traffic: the path edges carry the
 // flood while the long-range chords never carry a message — their buckets
-// must seal (eagerly: at their feeder's seal point or up front) without a
-// single staged entry, or the destination merges would deadlock.
+// must seal without a single staged entry, or the destination merges would
+// deadlock.
 TEST(EngineSeal, CapacityCarryingBucketWithZeroStagedMessages) {
   std::vector<graph::Edge> es;
   for (int v = 0; v < 63; ++v) es.push_back({v, v + 1, 1});
@@ -192,7 +169,7 @@ TEST(EngineSeal, CapacityCarryingBucketWithZeroStagedMessages) {
 // A round whose traffic never crosses a shard boundary: nodes 5..10 poke
 // their path neighbors (all of 4..11 sit inside the lowest shard under both
 // the 2- and 4-shard layouts), so every cross-shard bucket is empty and
-// every cross-shard seal fires before the sweeps' first callbacks.
+// every shard but the lowest merges nothing.
 TEST(EngineSeal, SelfEdgeOnlyRound) {
   const Graph g = graph::gen::path(64);
   expect_trace_equal_across_policies(g, [](Engine& eng, auto& trace) {
@@ -212,9 +189,9 @@ TEST(EngineSeal, SelfEdgeOnlyRound) {
 }
 
 // The once-per-2^32-rounds stamp wrap falls back to a barriered close for
-// exactly one round mid-run; the seal metadata must be rebuilt by that
-// round's merges so the eager-sealed close resumes cleanly. Forced via the
-// debug_set_wrap_state test hook a few rounds before the wrap.
+// exactly one round mid-run; the pipelined close must resume cleanly on the
+// next. Forced via the debug_set_wrap_state test hook a few rounds before
+// the wrap.
 TEST(EngineSeal, ForcedRoundIdWrapMidRun) {
   Rng rng(21);
   const Graph g = graph::gen::random_connected(256, 768, rng);
@@ -225,8 +202,7 @@ TEST(EngineSeal, ForcedRoundIdWrapMidRun) {
   expect_trace_equal_across_policies(g, drive);
 }
 
-// Same for the once-per-2^40 wake-epoch wrap (clears every wake word): the
-// positional seal metadata must survive the epoch restart.
+// Same for the once-per-2^40 wake-epoch wrap (clears every wake word).
 TEST(EngineSeal, ForcedWakeEpochWrapMidRun) {
   Rng rng(22);
   const Graph g = graph::gen::random_connected(256, 768, rng);
@@ -249,15 +225,16 @@ TEST(EngineSeal, ForcedDoubleWrapMidRun) {
   expect_trace_equal_across_policies(g, drive);
 }
 
-// drain() between budgeted eager-sealed segments: the first segment exits
+// drain() between budgeted pipelined segments: the first segment exits
 // with a full round of traffic delivered-but-unread and the whole hot band
 // re-woken; drain must discard all of it, and the next begin_round() must
 // see no leaked cursor state (begin_round PW_CHECKs the staging buckets are
 // empty, and an empty round trip must move no messages).
-TEST(EngineSeal, DrainBetweenEagerSegmentsLeaksNothing) {
+TEST(EngineSeal, DrainBetweenPipelinedSegmentsLeaksNothing) {
   Rng rng(31);
   const Graph g = graph::gen::random_connected(96, 288, rng);
-  Engine eng(g, ExecutionPolicy{4, true, true});
+  constexpr ExecutionPolicy kPipelined{.num_threads = 4, .pipeline = true};
+  Engine eng(g, kPipelined);
 
   for (int v = 0; v < g.n(); ++v) eng.wake(v);
   eng.run(
@@ -295,7 +272,7 @@ TEST(EngineSeal, DrainBetweenEagerSegmentsLeaksNothing) {
     });
     return received.load();
   };
-  Engine fresh(g, ExecutionPolicy{4, true, true});
+  Engine fresh(g, kPipelined);
   const auto fresh_snap = fresh.snap();
   const auto drained_snap = eng.snap();
   const auto fresh_sum = probe(fresh);
@@ -304,46 +281,28 @@ TEST(EngineSeal, DrainBetweenEagerSegmentsLeaksNothing) {
             fresh.since(fresh_snap).messages);
 }
 
-// drain() from INSIDE an open eager-sealed round must abort: sibling shards
+// drain() from INSIDE an open pipelined round must abort: sibling shards
 // may still be sweeping and merge tasks in flight (§8), so discarding wake
 // lists here would race with the merges writing them.
-TEST(EngineSealDeath, DrainFromInsideEagerRoundAborts) {
+TEST(EngineSealDeath, DrainFromInsidePipelinedRoundAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {
         Graph g = graph::gen::path(64);
-        Engine eng(g, ExecutionPolicy{4, true, true});
+        Engine eng(g, ExecutionPolicy{.num_threads = 4, .pipeline = true});
         eng.wake(40);
         eng.run([&](int) { eng.drain(); });
       },
       "inside an open round");
 }
 
-// The §7 cross-shard checks keep firing while eager merges overlap the
-// sweep: a cross-shard send from an eager-sealed callback aborts exactly
-// like it does under the other close modes.
-TEST(EngineSealDeath, CrossShardSendFromEagerCallbackAborts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(
-      {
-        Graph g = graph::gen::path(64);
-        Engine eng(g, ExecutionPolicy{4, true, true});
-        eng.wake(40);
-        eng.run([&](int) { eng.send(1, 0, Msg{}); });
-      },
-      "outside its shard");
-}
-
-// A parallel callback may send only AS the node it was invoked on: a send
-// on behalf of a SAME-SHARD sibling (here: node 41's callback sending as
-// its neighbor 40) could land after the sibling's bucket sealed under the
-// eager close — into a bucket a merge may already be scanning — so it
-// aborts in every parallel mode (§7).
+// A parallel callback may send only AS the node it was invoked on (§7): a
+// send on behalf of a SAME-SHARD sibling (here: node 41's callback sending
+// as its neighbor 40) aborts in every parallel close mode.
 TEST(EngineSealDeath, SiblingProxySendFromParallelCallbackAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  for (const auto policy :
-       {ExecutionPolicy{4, false, false}, ExecutionPolicy{4, true, false},
-        ExecutionPolicy{4, true, true}}) {
+  for (const auto policy : kPolicies) {
+    if (policy.num_threads != 4) continue;
     EXPECT_DEATH(
         {
           Graph g = graph::gen::path(64);

@@ -7,9 +7,9 @@
 // either side of the link. These tests pin (a) the in-place stage → publish
 // → drain round trip and the one-frame-per-round ring protocol in isolation,
 // (b) full delivery traces bit-identical between InProcTransport and
-// ShmRingTransport across {2,4} threads × all four close modes — for both
-// the manual end_round() loop (the barriered publish_all path) and run()'s
-// pipelined closes (the publish-at-seal path), (c) the single-shard
+// ShmRingTransport across {2,4} threads × both close modes — for both the
+// manual end_round() loop (the barriered publish_all path) and run()'s
+// pipelined close (the publish-at-seal path), (c) the single-shard
 // degeneration to kInProc, (d) the watchdog's per-ring liveness lines when a
 // shm-backed close wedges, and (e) the multi-process runner: forked shard
 // workers over the same rings produce traces matching a sequential engine,
@@ -26,6 +26,7 @@
 #include "src/sim/engine.hpp"
 #include "src/sim/transport.hpp"
 #include "src/util/rng.hpp"
+#include "tests/policy_matrix.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -102,32 +103,9 @@ TEST(SpscRing, PublishDrainCycleAdvancesFrameCounters) {
 
 // --- in-engine trace equality ----------------------------------------------
 
-// {2,4} threads × {barriered, shard-sealed pipelined, eager-sealed,
-// incremental}; the transport field is set per test.
-constexpr ExecutionPolicy kParallelPolicies[] = {
-    {2, false, false, false},  //
-    {2, true, false, false},   //
-    {2, true, true, false},    //
-    {2, true, true, true},     //
-    {4, false, false, false},  //
-    {4, true, false, false},   //
-    {4, true, true, false},    //
-    {4, true, true, true}};
-
-std::string label(const ExecutionPolicy& p) {
-  std::string out = p.num_threads == 1 ? "sequential"
-                    : !p.pipeline      ? "barriered"
-                    : !p.eager_seal    ? "pipelined"
-                    : p.incremental    ? "pipelined+eager+inc"
-                                       : "pipelined+eager";
-  out += p.transport == TransportKind::kShmRing ? "/shm" : "/inproc";
-  out += "@" + std::to_string(p.num_threads);
-  return out;
-}
-
 // Full delivery trace of a BFS flood via the MANUAL round loop — this is the
 // path where shm publishes happen in end_round()'s barriered publish_all(),
-// with no seal schedule in play.
+// with no seals in play.
 std::vector<std::uint64_t> manual_loop_trace(const Graph& g,
                                              ExecutionPolicy policy) {
   Engine eng(g, policy);
@@ -163,8 +141,7 @@ std::vector<std::uint64_t> manual_loop_trace(const Graph& g,
 }
 
 // Full per-node observation trace of a chatter run through run() — the path
-// where shm publishes ride the §8 seal points (or whole-shard seals under
-// the non-eager pipelined close).
+// where shm publishes ride the §8 seals under the pipelined close.
 std::vector<std::vector<std::uint64_t>> run_trace(const Graph& g,
                                                   ExecutionPolicy policy) {
   Engine eng(g, policy);
@@ -195,29 +172,32 @@ std::vector<std::vector<std::uint64_t>> run_trace(const Graph& g,
 TEST(ShmTransport, ManualLoopTraceIdenticalToInProc) {
   Rng rng(17);
   const Graph g = graph::gen::random_connected(300, 900, rng);
-  const auto reference = manual_loop_trace(g, ExecutionPolicy{1});
+  const auto reference = manual_loop_trace(g, kPolicies[0]);
   ASSERT_GT(reference.size(), 4u);
-  for (ExecutionPolicy policy : kParallelPolicies) {
+  for (ExecutionPolicy policy : kPolicies) {
+    if (policy.num_threads == 1) continue;
     policy.transport = TransportKind::kShmRing;
-    EXPECT_EQ(reference, manual_loop_trace(g, policy)) << label(policy);
+    EXPECT_EQ(reference, manual_loop_trace(g, policy)) << policy_name(policy);
   }
 }
 
 TEST(ShmTransport, RunTraceIdenticalToInProcAcrossCloseModes) {
   const Graph g = graph::gen::torus(8, 8);
-  const auto reference = run_trace(g, ExecutionPolicy{1});
-  for (ExecutionPolicy policy : kParallelPolicies) {
+  const auto reference = run_trace(g, kPolicies[0]);
+  for (ExecutionPolicy policy : kPolicies) {
+    if (policy.num_threads == 1) continue;
     const auto inproc = run_trace(g, policy);
-    EXPECT_EQ(reference, inproc) << label(policy);
+    EXPECT_EQ(reference, inproc) << policy_name(policy);
     policy.transport = TransportKind::kShmRing;
-    EXPECT_EQ(reference, run_trace(g, policy)) << label(policy);
+    EXPECT_EQ(reference, run_trace(g, policy)) << policy_name(policy);
   }
 }
 
 TEST(ShmTransport, ReportsArmedKindAndSingleShardDegenerates) {
   const Graph g = graph::gen::grid(6, 6);
-  ExecutionPolicy shm{4, true, true, false};
-  shm.transport = TransportKind::kShmRing;
+  ExecutionPolicy shm{.num_threads = 4,
+                      .pipeline = true,
+                      .transport = TransportKind::kShmRing};
   Engine multi(g, shm);
   EXPECT_EQ(multi.transport_kind(), TransportKind::kShmRing);
 
@@ -227,7 +207,7 @@ TEST(ShmTransport, ReportsArmedKindAndSingleShardDegenerates) {
   Engine single(g, shm);
   EXPECT_EQ(single.transport_kind(), TransportKind::kInProc);
 
-  Engine def(g, ExecutionPolicy{4, true, true, false});
+  Engine def(g, ExecutionPolicy{.num_threads = 4, .pipeline = true});
   EXPECT_EQ(def.transport_kind(), TransportKind::kInProc);
 }
 
@@ -236,10 +216,11 @@ TEST(ShmTransport, ReportsArmedKindAndSingleShardDegenerates) {
 // leaf shards publish empty buckets every round.
 TEST(ShmTransport, SkewedTrafficIdenticalToInProc) {
   const Graph g = graph::gen::star(257);
-  const auto reference = manual_loop_trace(g, ExecutionPolicy{1});
-  for (ExecutionPolicy policy : kParallelPolicies) {
+  const auto reference = manual_loop_trace(g, kPolicies[0]);
+  for (ExecutionPolicy policy : kPolicies) {
+    if (policy.num_threads == 1) continue;
     policy.transport = TransportKind::kShmRing;
-    EXPECT_EQ(reference, manual_loop_trace(g, policy)) << label(policy);
+    EXPECT_EQ(reference, manual_loop_trace(g, policy)) << policy_name(policy);
   }
 }
 
@@ -258,9 +239,10 @@ TEST(ShmTransport, SkewedTrafficIdenticalToInProc) {
 // dump must now include the transport's per-ring liveness lines — the
 // starved link shows "awaiting publish".
 [[maybe_unused]] void run_shm_with_withheld_seal(const Graph& g) {
-  ExecutionPolicy policy{4, true, true};
-  policy.watchdog_ms = 1000;
-  policy.transport = TransportKind::kShmRing;
+  const ExecutionPolicy policy{.num_threads = 4,
+                               .pipeline = true,
+                               .watchdog_ms = 1000,
+                               .transport = TransportKind::kShmRing};
   Engine eng(g, policy);
   eng.debug_withhold_seal(1, 0);
   std::vector<int> left(static_cast<std::size_t>(g.n()), 3);
