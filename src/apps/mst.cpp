@@ -57,16 +57,24 @@ MstResult boruvka_mst(sim::Engine& eng, const core::PaSolverConfig& cfg) {
   std::iota(fragment_of.begin(), fragment_of.end(), 0);
   std::vector<int> neighbor_fragment;
 
+  // Each fragment partition is installed once. Phase 0 runs on the
+  // singletons; every later phase runs on the merged partition that PA #2
+  // of the phase before installed. from_labels numbers parts by first
+  // appearance and leaders are min-id, so relabelling the merged fragments
+  // by their min old label yields that same partition (checked per phase).
+  solver.set_partition(graph::singleton_partition(g));
+
   const int max_phases = 2 * static_cast<int>(std::log2(std::max(2, g.n()))) + 4;
   for (int phase = 0;; ++phase) {
     PW_CHECK_MSG(phase < max_phases, "Boruvka failed to converge");
 
     announce_fragments(eng, fragment_of, neighbor_fragment);
 
-    // Build the PA partition for the current fragments.
     graph::Partition part = graph::Partition::from_labels(fragment_of);
     part.elect_min_id_leaders();
-    solver.set_partition(part);
+    PW_CHECK_MSG(part == solver.partition(),
+                 "fragment partition differs from the installed one at phase %d",
+                 phase);
 
     // PA #1: lightest outgoing edge per fragment.
     std::vector<std::uint64_t> candidate(g.n(), kNoEdge);

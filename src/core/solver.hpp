@@ -68,7 +68,10 @@ class PaSolver {
   // Installs the partition PA queries will run against and builds the
   // per-partition structures. Leaders must be known (Section 4's assumption;
   // see pa_noleader.hpp / Algorithm 9 for dropping it). The partition is
-  // copied; repeated aggregate() calls reuse the structures.
+  // copied; repeated aggregate() calls reuse the structures. Every call
+  // rebuilds the division and the shortcut, even for a partition equal to
+  // the installed one, so a caller that already installed it skips the call
+  // (boruvka_mst reuses the merged partition as the next phase's).
   void set_partition(graph::Partition p);
 
   // Solves one PA instance (Definition 1.1) on the installed partition.

@@ -31,6 +31,8 @@ struct Partition {
   // forest is attached.
   std::vector<int> parent_port;
 
+  bool operator==(const Partition&) const = default;
+
   bool has_forest() const { return !parent_port.empty(); }
   bool has_leaders() const { return !leader.empty(); }
 

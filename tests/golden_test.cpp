@@ -14,6 +14,12 @@
 // rounds and messages of SetPartitionGnmRandomized were re-captured when
 // Algorithm 2 began verifying only the parts whose verdict its callers read;
 // weights, phases, guesses and both hashes did not move.
+//
+// The rounds and messages of all four Borůvka tests were re-captured when
+// boruvka_mst began reusing the merged partition installed by a phase's
+// PA #2 as the next phase's fragment partition instead of rebuilding it
+// (one set_partition per phase, not two); weights, phases and the
+// SetPartition* goldens did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -96,16 +102,16 @@ void expect_mst(std::uint64_t graph_seed, PaMode mode, const MstGolden& want) {
 }
 
 TEST(Golden, BoruvkaRandomizedSeedA) {
-  expect_mst(101, PaMode::Randomized, {59346003, 4, 1843, 157327});
+  expect_mst(101, PaMode::Randomized, {59346003, 4, 1168, 119178});
 }
 TEST(Golden, BoruvkaRandomizedSeedB) {
-  expect_mst(202, PaMode::Randomized, {59703355, 4, 1824, 160184});
+  expect_mst(202, PaMode::Randomized, {59703355, 4, 1120, 117126});
 }
 TEST(Golden, BoruvkaDeterministicSeedA) {
-  expect_mst(101, PaMode::Deterministic, {59346003, 4, 5178, 210290});
+  expect_mst(101, PaMode::Deterministic, {59346003, 4, 3242, 137147});
 }
 TEST(Golden, BoruvkaDeterministicSeedB) {
-  expect_mst(202, PaMode::Deterministic, {59703355, 4, 5232, 207468});
+  expect_mst(202, PaMode::Deterministic, {59703355, 4, 3184, 135523});
 }
 
 struct SolverGolden {

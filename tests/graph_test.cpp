@@ -160,6 +160,44 @@ TEST(Partition, FromLabelsRenumbers) {
   EXPECT_NE(p.part_of[2], p.part_of[4]);
 }
 
+// Borůvka reuses the merged partition as the next phase's fragment
+// partition. That rests on from_labels being canonical: the same node sets
+// under any labelling give the same partition once leaders are min-id.
+TEST(Partition, FromLabelsIsCanonical) {
+  Rng rng(71);
+  const Graph g = gen::random_connected(60, 150, rng);
+  const Partition old = random_bfs_partition(g, 12, rng);
+  Dsu dsu(old.num_parts);
+  // Union by size keeps the first argument's root on ties, so every DSU
+  // root below is the larger old label, not the min one.
+  for (int i = 1; i < old.num_parts; i += 3) dsu.unite(i, i - 1);
+  dsu.unite(old.num_parts - 1, 2);
+
+  std::vector<int> by_root(g.n());
+  for (int v = 0; v < g.n(); ++v) by_root[v] = dsu.find(old.part_of[v]);
+  // PA #2's relabelling: each node takes the min old label of its new part.
+  std::vector<int> min_label(old.num_parts, old.num_parts);
+  for (int i = 0; i < old.num_parts; ++i)
+    min_label[dsu.find(i)] = std::min(min_label[dsu.find(i)], i);
+  std::vector<int> by_min(g.n());
+  for (int v = 0; v < g.n(); ++v) by_min[v] = min_label[by_root[v]];
+  ASSERT_NE(by_root, by_min);
+
+  Partition a = Partition::from_labels(by_root);
+  Partition b = Partition::from_labels(by_min);
+  a.elect_min_id_leaders();
+  b.elect_min_id_leaders();
+  EXPECT_EQ(a, b);
+
+  // Move one node into another part: the partitions must differ.
+  int moved = 0;
+  while (by_min[moved] == by_min[0]) ++moved;
+  by_min[moved] = by_min[0];
+  Partition c = Partition::from_labels(by_min);
+  c.elect_min_id_leaders();
+  EXPECT_NE(a, c);
+}
+
 TEST(Partition, GridRowsValid) {
   Graph g = gen::grid(6, 9);
   Partition p = grid_row_partition(6, 9);

@@ -66,6 +66,26 @@ TEST(Mst, DeterministicMode) {
   expect_mst_matches_kruskal(g, cfg, 630);
 }
 
+// Every phase after the first runs on the partition installed by the phase
+// before, on every strategy and mode.
+TEST(Mst, EveryStrategyAndMode) {
+  Rng rng(69);
+  Graph g = graph::gen::with_random_weights(
+      graph::gen::random_connected(80, 200, rng), 300, rng);
+  for (const auto strategy : {core::PaStrategy::Ours,
+                              core::PaStrategy::NoShortcut,
+                              core::PaStrategy::NoSubparts})
+    for (const auto mode : {core::PaMode::Randomized,
+                            core::PaMode::Deterministic}) {
+      SCOPED_TRACE(testing::Message() << "strategy " << static_cast<int>(strategy)
+                                      << " mode " << static_cast<int>(mode));
+      core::PaSolverConfig cfg;
+      cfg.strategy = strategy;
+      cfg.mode = mode;
+      expect_mst_matches_kruskal(g, cfg, 650);
+    }
+}
+
 TEST(Mst, PhasesLogarithmic) {
   Rng rng(66);
   Graph g = graph::gen::with_random_weights(
