@@ -17,8 +17,8 @@
 //                 `skew` column; PW_BENCH_SKEW=8,32 comma-list override,
 //                 default {8, 32}), and each (n, skew) combo also reports
 //                 the per-shard incoming-message imbalance (max/mean over
-//                 destination shards, `shard_imbalance`) that the size-aware
-//                 largest-first merge claim is scheduling against.
+//                 destination shards, `shard_imbalance`): how lopsided the
+//                 merge work is that the pipelined close overlaps.
 //   bfs_tree      build_bfs_tree per repetition (engine per rep).
 //   convergecast  forest_convergecast per repetition (engine per rep).
 //
@@ -112,8 +112,7 @@ std::vector<int> skew_sweep() {
 // round: every hot sender (top n/skew ids) sends on all ports, so shard d
 // receives one message per arc from the hot band into d. Replicates the
 // engine's shard layout (contiguous power-of-two chunks, data_plane.cpp) so
-// the number describes exactly the merge tasks the §8 largest-first claim
-// schedules. Returns max/mean over destination shards (1.0 = perfectly
+// the number describes exactly the §8 merge tasks of that round. Returns max/mean over destination shards (1.0 = perfectly
 // even); 0 when the layout degenerates to one shard.
 double shard_imbalance(const graph::Graph& g, int threads, int skew) {
   const int n = g.n();
@@ -244,8 +243,8 @@ void run() {
   // fixed round budget): the callback work of every round concentrates in
   // the top shard, so under the pipelined close every merge the hot shard
   // feeds waits for that one long sweep. Each (n, threads, skew) combo
-  // carries the per-shard incoming-message imbalance the largest-first claim
-  // schedules against — the skew study: higher skew, higher imbalance.
+  // carries the per-shard incoming-message imbalance of its merges — the
+  // skew study: higher skew, higher imbalance.
   const auto skews = skew_sweep();
   for (const int n : {8192, 65536}) {
     Rng rng(4);

@@ -43,8 +43,8 @@ inline void flood_workload(sim::Engine& eng, std::vector<char>& seen) {
 //
 // `skew_denom` sets the hot-band fraction (hot senders = n / skew_denom,
 // at least 1): 8 is the historical default, larger values concentrate the
-// sending into a thinner, hotter band — the regime the largest-first merge
-// claim targets. The microbench sweeps it via PW_BENCH_SKEW.
+// sending into a thinner, hotter band, so the merges grow more lopsided.
+// The microbench sweeps it via PW_BENCH_SKEW.
 inline void skewed_flood_workload(sim::Engine& eng, int rounds,
                                   int skew_denom = 8) {
   const auto& g = eng.graph();

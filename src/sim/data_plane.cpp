@@ -7,9 +7,22 @@
 
 namespace pw::sim {
 
+void DataPlane::check_delivery_size(std::int64_t num_arcs, int mult) {
+  PW_CHECK_MSG(num_arcs * mult <= std::numeric_limits<int>::max(),
+               "delivery arena too large: %lld arcs x %d = %lld entries, but "
+               "inbox runs index it with int (at most %d)",
+               static_cast<long long>(num_arcs), mult,
+               static_cast<long long>(num_arcs * mult),
+               std::numeric_limits<int>::max());
+}
+
 DataPlane::DataPlane(const graph::Graph& g, int max_shards,
                      const FaultPolicy* faults, TransportKind transport)
     : g_(&g) {
+  const bool faulty = faults != nullptr && faults->enabled();
+  // Under faults: delayed-due + duplicated fresh, per arc per round.
+  delivery_mult_ = faulty ? 3 : 1;
+  check_delivery_size(g.num_arcs(), delivery_mult_);
   PW_CHECK(max_shards >= 1);
   const int n = g.n();
   // Contiguous shards with a power-of-two chunk so shard_of is one shift.
@@ -23,10 +36,8 @@ DataPlane::DataPlane(const graph::Graph& g, int max_shards,
   // senders in different shards never share a line.
   cur_stride_ = ((S + 15) / 16) * 16;
 
-  if (faults != nullptr && faults->enabled()) {
+  if (faulty)
     fault_ = std::make_unique<FaultPlane>(*faults, g, S, shard_shift_);
-    delivery_mult_ = 3;  // delayed-due + duplicated fresh, per arc per round
-  }
 
   arc_.resize(static_cast<std::size_t>(g.num_arcs()));
   for (int a = 0; a < g.num_arcs(); ++a) {
@@ -482,12 +493,6 @@ void DataPlane::merge_shard(int d, std::uint32_t next_stamp) {
   commit_shard(d, next_stamp);
 }
 
-int DataPlane::merge_size(int d) const {
-  int total = 0;
-  for (int s = 0; s < num_shards_; ++s) total += bucket_cur(s, d);
-  return total;
-}
-
 void DataPlane::commit_shard(int d, std::uint32_t next_stamp) {
   const int S = num_shards_;
   Shard& sh = shards_[static_cast<std::size_t>(d)];
@@ -689,18 +694,14 @@ std::uint64_t DataPlane::run_pipelined_round(Executor& ex,
   } ctx{this, round_id_ + 1, sweep, cb_ctx};
   const Executor::PipelineDeps deps{seal_out_beg_.data(), seal_out_.data(),
                                     merge_dep_count_.data()};
-  // The executor seals a shard's whole out-list when its sweep returns;
-  // stage-2 claims go largest-first by merge_size.
-  Executor::PipelineOpts opts;
-  opts.size_of = +[](void* c, int d) {
-    return static_cast<Ctx*>(c)->dp->merge_size(d);
-  };
+  // The executor seals a shard's whole out-list when its sweep returns.
   // §10: a seal IS a publish. The hook runs on the sealing thread — the
   // owner of sender shard s — before the dependency counter drops, so the
   // frame the merge drains is ordered by the very release chain that
   // unlocks it.
+  void (*on_seal)(void*, int, int) = nullptr;
   if (shm_transport_)
-    opts.on_seal = +[](void* c, int s, int d) {
+    on_seal = +[](void* c, int s, int d) {
       static_cast<Ctx*>(c)->dp->publish_bucket(s, d);
     };
   ex.pipeline(
@@ -713,7 +714,7 @@ std::uint64_t DataPlane::run_pipelined_round(Executor& ex,
         auto* x = static_cast<Ctx*>(c);
         x->dp->merge_shard(d, x->stamp);
       },
-      deps, &ctx, opts);
+      deps, &ctx, on_seal);
   return close_round();
 }
 

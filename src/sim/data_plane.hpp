@@ -66,6 +66,14 @@ class DataPlane {
             const FaultPolicy* faults = nullptr,
             TransportKind transport = TransportKind::kInProc);
 
+  // Aborts unless a delivery arena of num_arcs × mult entries (mult = 3
+  // under faults, see above) fits the int offsets of inbox runs and delivery
+  // regions. Graph::check_edge_count admits up to INT_MAX arcs, so the 3×
+  // fault sizing can overflow where the graph itself does not. The
+  // constructor calls it first; static so the limit is testable without
+  // building a graph that large.
+  static void check_delivery_size(std::int64_t num_arcs, int mult);
+
   int num_shards() const { return num_shards_; }
   int shard_of(int v) const { return v >> shard_shift_; }
   // The transport actually armed (kInProc when a single-shard plane
@@ -290,10 +298,6 @@ class DataPlane {
   void publish_all();
   void count_in(Shard& sh, int to, int k);
   Fate fate_of(int to, const Incoming& inc, int d, bool discovery);
-  // Claim weight of destination d's merge for the executor's largest-first
-  // stage-2 ordering: the exact staged count (every feeder has sealed when
-  // the executor asks).
-  int merge_size(int d) const;
   void rebuild_active();
   void compact_active();
   void bump_wake_epoch();

@@ -102,9 +102,6 @@ void Executor::tick() {
 Executor::Executor(int num_threads, int watchdog_ms)
     : deps_left_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       ready_state_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
-      deques_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
-      deque_buf_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads) *
-                 static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       threads_state_(
           static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       num_threads_(num_threads < 1 ? 1 : num_threads) {
@@ -237,8 +234,7 @@ void Executor::watchdog_fire(int phase, int task) {
                outstanding_.load(std::memory_order_relaxed));
   if (live)
     for (int d = 0; d < num_tasks_; ++d)
-      // ready_state: -1 = unpublished, -2 = claimed, >= 0 = published with
-      // that claim weight.
+      // ready_state: 0 = unpublished, 1 = published, 2 = claimed.
       std::fprintf(
           stderr, "PW_WATCHDOG: stage2 task %d: deps_left=%d ready_state=%d\n",
           d,
@@ -255,14 +251,6 @@ void Executor::watchdog_fire(int phase, int task) {
                  static_cast<unsigned long long>(
                      st.ticks.load(std::memory_order_relaxed)));
   }
-  if (live)
-    for (int t = 0; t < num_threads_; ++t) {
-      const ClaimDeque& dq = deques_[static_cast<std::size_t>(t)];
-      std::fprintf(stderr,
-                   "PW_WATCHDOG: thread %d claim deque: top=%d bottom=%d\n", t,
-                   dq.top.load(std::memory_order_relaxed),
-                   dq.bottom.load(std::memory_order_relaxed));
-    }
   if (dump_fn_ != nullptr) dump_fn_(dump_ctx_);
   std::abort();
 }
@@ -302,33 +290,15 @@ void Executor::parallel(int num_tasks, TaskFn fn, void* ctx) {
   wait_barrier();
 }
 
-// Publishes stage-2 task d for claiming, weighted by the caller's size hook.
-// Called on the thread whose seal dropped d's dependency counter to zero:
-// that thread has acquired every feeder's release, so size_fn_ may read all
-// staged inputs. The release store of the weight plus the claimer's acquire
-// CAS carry the same inputs to whichever thread runs d.
+// Publishes stage-2 task d for claiming. Called on the thread whose seal
+// dropped d's dependency counter to zero: that thread has acquired every
+// feeder's release, so the release store of the published state plus the
+// claimer's acquire CAS carry all of d's inputs to whichever thread runs d.
 void Executor::publish(int d) {
-  int size = size_fn_ != nullptr ? size_fn_(ctx_, d) : 0;
-  if (size < 0) size = 0;
-  // PAIR(ready-state): publish d's weight (and, transitively, its sealed
-  // inputs) to the claimers' acquire CAS/loads
-  ready_state_[static_cast<std::size_t>(d)].store(size,
+  // PAIR(ready-state): publish d (and, transitively, its sealed inputs) to
+  // the claimers' acquire CAS/loads
+  ready_state_[static_cast<std::size_t>(d)].store(kReadyPublished,
                                                   std::memory_order_release);
-  // Push the hint onto the publishing thread's own claim deque. Owner-only
-  // bottom end, so a plain load/store pair; the release store of bottom
-  // publishes both the slot and the ready weight above to a thief's acquire
-  // load of bottom. Pushed AFTER the ready store so any thread that sees the
-  // hint sees a published (or later: claimed) state, never unpublished.
-  {
-    ClaimDeque& dq = deques_[static_cast<std::size_t>(tl_thread)];
-    const int b = dq.bottom.load(std::memory_order_relaxed);
-    deque_buf_[static_cast<std::size_t>(tl_thread) *
-                   static_cast<std::size_t>(num_threads_) +
-               static_cast<std::size_t>(b)]
-        .store(d, std::memory_order_relaxed);
-    // PAIR(deque-bottom): slot + ready weight published to thieves
-    dq.bottom.store(b + 1, std::memory_order_release);
-  }
   // Store-buffer handshake with the claim loop's park: the seq_cst bump vs.
   // the parker's seq_cst registration guarantee at least one side sees the
   // other, so the wake is CONDITIONAL on a registered waiter — no syscall
@@ -368,87 +338,9 @@ void Executor::seal(int d) {
     publish(d);
 }
 
-// Owner-side pop (Chase-Lev take): claim the bottom entry of this thread's
-// own deque. The seq_cst fence orders the bottom decrement against the top
-// read so the only contended slot — the last one — is arbitrated by the top
-// CAS against a racing thief. Returns the task hint, or -1 when empty or the
-// thief won.
-int Executor::deque_take(int idx) {
-  ClaimDeque& dq = deques_[static_cast<std::size_t>(idx)];
-  const int b = dq.bottom.load(std::memory_order_relaxed) - 1;
-  dq.bottom.store(b, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  int t = dq.top.load(std::memory_order_relaxed);
-  int d = -1;
-  if (t <= b) {
-    d = deque_buf_[static_cast<std::size_t>(idx) *
-                       static_cast<std::size_t>(num_threads_) +
-                   static_cast<std::size_t>(b)]
-            .load(std::memory_order_relaxed);
-    if (t == b) {
-      // Last entry: a thief may be CASing top for the same slot. Exactly one
-      // CAS wins it.
-      // PAIR(deque-top): owner-vs-thief arbitration for the last slot
-      if (!dq.top.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                          std::memory_order_relaxed))
-        d = -1;
-      dq.bottom.store(b + 1, std::memory_order_relaxed);
-    }
-  } else {
-    dq.bottom.store(b + 1, std::memory_order_relaxed);
-  }
-  return d;
-}
-
-// Thief-side pop: peek the top entry of every other deque, pick the heaviest
-// (weight read back from ready_state_ — a stale, already-claimed hint weighs
-// kReadyClaimed and is chosen only when nothing live is visible, which pops
-// the garbage and unclogs the deque), then CAS that deque's top. top only
-// grows and a push can land on slot t only after top passed it (bottom never
-// drops to t while slot t is still unpopped), so a successful CAS always
-// hands over the value peeked — no ABA on the buffer. Returns the stolen
-// hint or -1 (empty everywhere, or lost the steal race: the caller rescans).
-int Executor::deque_steal(int idx) {
-  int best_v = -1;
-  int best_d = -1;
-  int best_t = 0;
-  int best_w = INT_MIN;
-  for (int v = 0; v < num_threads_; ++v) {
-    if (v == idx) continue;
-    ClaimDeque& dq = deques_[static_cast<std::size_t>(v)];
-    // PAIR(deque-top): acquire the slot a racing pop retired
-    const int t = dq.top.load(std::memory_order_acquire);
-    // PAIR(deque-bottom): acquire the owner's pushed slot + ready weight
-    const int b = dq.bottom.load(std::memory_order_acquire);
-    if (t >= b) continue;
-    const int d = deque_buf_[static_cast<std::size_t>(v) *
-                                 static_cast<std::size_t>(num_threads_) +
-                             static_cast<std::size_t>(t)]
-                      .load(std::memory_order_relaxed);
-    // PAIR(ready-state): acquire the published weight behind the hint
-    const int w =
-        ready_state_[static_cast<std::size_t>(d)].load(std::memory_order_acquire);
-    if (w > best_w) {
-      best_w = w;
-      best_v = v;
-      best_d = d;
-      best_t = t;
-    }
-  }
-  if (best_v < 0) return -1;
-  ClaimDeque& dq = deques_[static_cast<std::size_t>(best_v)];
-  int expect = best_t;
-  // PAIR(deque-top): thief-vs-owner/thief arbitration for the peeked slot
-  if (!dq.top.compare_exchange_strong(expect, best_t + 1,
-                                      std::memory_order_seq_cst,
-                                      std::memory_order_relaxed))
-    return -1;
-  return best_d;
-}
-
 // The per-thread body of a pipeline() dispatch: stage-1 task idx (if the
-// thread owns one), then the seal of its whole out-list, then the
-// work-stealing claim loop over the published stage-2 tasks.
+// thread owns one), then the seal of its whole out-list, then the claim
+// loop over the published stage-2 tasks.
 void Executor::pipeline_thread(int idx) {
   ThreadState& st = threads_state_[static_cast<std::size_t>(idx)];
   if (idx < num_tasks_) {
@@ -461,51 +353,38 @@ void Executor::pipeline_thread(int idx) {
     tl_task = -1;
     progress_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Claim loop: pop a hint — own deque first (newest publish, cache-warm for
-  // the thread that just sealed it), then steal the heaviest victim top, then
-  // a fallback full scan of the publish states — and CAS its ready state to
-  // claimed; a stale hint or a lost race just re-loops. The deques are a
-  // scheduling index only: the fallback scan keeps every published task
-  // reachable even when all its hints were consumed by CAS losers, so
-  // liveness never depends on deque contents. When nothing is poppable, park
-  // on published_seq_ (snapshotted BEFORE the pop attempts, so a publish
-  // racing them makes the park return immediately). Every task is eventually
-  // published (all stage-1 tasks run), so the wait terminates — unless a seal
-  // went missing, which is exactly what the watchdog inside wait_watched()
-  // turns from a silent hang into a diagnostic abort (§9).
+  // Claim loop: walk the publish slots starting at this thread's own index
+  // (so claimers fan out over different slots instead of all racing for
+  // slot 0) and CAS the first published one to claimed; a slot lost to a
+  // racing claimer just moves the walk on. There are at most num_threads_
+  // slots, so the walk is the whole index. When no slot is published, park
+  // on published_seq_ (snapshotted BEFORE the walk, so a publish racing it
+  // makes the park return immediately). Every task is eventually published
+  // (all stage-1 tasks run), so the wait terminates — unless a seal went
+  // missing, which is exactly what the watchdog inside wait_watched() turns
+  // from a silent hang into a diagnostic abort (§9).
   // PAIR(claimed-count): acquire the final claimer's exit publication
   while (claimed_.load(std::memory_order_acquire) < num_tasks_) {
-    // PAIR(published-seq): park snapshot, taken BEFORE the pop attempts
+    // PAIR(published-seq): park snapshot, taken BEFORE the slot walk
     const int seq = published_seq_.load(std::memory_order_acquire);
-    int best = deque_take(idx);
-    if (best < 0) best = deque_steal(idx);
-    if (best < 0) {
-      int best_size = -1;
-      for (int d = 0; d < num_tasks_; ++d) {
-        // PAIR(ready-state): fallback scan of the publish states
-        const int v =
-            ready_state_[static_cast<std::size_t>(d)].load(
-                std::memory_order_acquire);
-        if (v > best_size) {
-          best = d;
-          best_size = v;
-        }
-      }
-      if (best_size < 0) best = -1;
-    }
-    if (best >= 0) {
-      // PAIR(ready-state): acquire the candidate's published weight
-      int expected =
-          ready_state_[static_cast<std::size_t>(best)].load(
-              std::memory_order_acquire);
+    int claim = -1;
+    for (int k = 0; k < num_tasks_; ++k) {
+      const int d = (idx + k) % num_tasks_;
+      std::atomic<int>& slot = ready_state_[static_cast<std::size_t>(d)];
+      // Plain read first: a failed CAS still takes the line exclusive, and
+      // most slots a walk passes are unpublished or already claimed.
+      int expected = slot.load(std::memory_order_relaxed);
       // PAIR(ready-state): the exactly-once claim arbiter — the winning
       // CAS acquires every input the publish released
-      if (expected < 0 ||
-          !ready_state_[static_cast<std::size_t>(best)]
-               .compare_exchange_strong(expected, kReadyClaimed,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed))
-        continue;  // stale hint or lost the race for this task; re-loop
+      if (expected == kReadyPublished &&
+          slot.compare_exchange_strong(expected, kReadyClaimed,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+        claim = d;
+        break;
+      }
+    }
+    if (claim >= 0) {
       // PAIR(claimed-count): RMW chain — the final claimer acquires every
       // earlier claim before broadcasting the drain
       if (claimed_.fetch_add(1, std::memory_order_acq_rel) + 1 == num_tasks_) {
@@ -519,9 +398,9 @@ void Executor::pipeline_thread(int idx) {
           futex_wake_all(&published_seq_);
       }
       st.phase.store(kPhaseStage2, std::memory_order_relaxed);
-      st.task.store(best, std::memory_order_relaxed);
-      tl_task = best;
-      stage2_(ctx_, best);
+      st.task.store(claim, std::memory_order_relaxed);
+      tl_task = claim;
+      stage2_(ctx_, claim);
       tl_task = -1;
       progress_.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -544,7 +423,7 @@ void Executor::pipeline_thread(int idx) {
 
 void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
                         const PipelineDeps& deps, void* ctx,
-                        const PipelineOpts& opts) {
+                        void (*on_seal)(void* ctx, int s, int d)) {
   PW_CHECK(num_tasks >= 1 && num_tasks <= num_threads_);
   PW_CHECK(tl_task == -1);  // no nested dispatch
   tl_thread = 0;
@@ -563,15 +442,6 @@ void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
     ready_state_[static_cast<std::size_t>(d)].store(kReadyUnpublished,
                                                     std::memory_order_relaxed);
   }
-  // Claim deques restart empty each dispatch (fixed buffers, no wraparound);
-  // the generation release bump below publishes the resets to the workers,
-  // and the previous dispatch's barrier means nobody is still popping.
-  for (int t = 0; t < num_threads_; ++t) {
-    deques_[static_cast<std::size_t>(t)].top.store(0,
-                                                   std::memory_order_relaxed);
-    deques_[static_cast<std::size_t>(t)].bottom.store(
-        0, std::memory_order_relaxed);
-  }
   claimed_.store(0, std::memory_order_relaxed);
   // published_seq_ is deliberately NOT reset: waits compare against a
   // snapshot, so a monotone counter across dispatches is fine and avoids
@@ -581,17 +451,15 @@ void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
   deps_ = deps;
   ctx_ = ctx;
   num_tasks_ = num_tasks;
-  size_fn_ = opts.size_of;
-  seal_fn_ = opts.on_seal;
+  seal_fn_ = on_seal;
   outstanding_.store(static_cast<int>(workers_.size()), std::memory_order_relaxed);
-  // PAIR(dispatch-generation): the pipeline fields + counter/deque resets
-  // above, published to the workers
+  // PAIR(dispatch-generation): the pipeline fields + counter resets above,
+  // published to the workers
   generation_.fetch_add(1, std::memory_order_release);
   generation_.notify_all();
   pipeline_thread(0);
   wait_barrier();
   stage2_ = nullptr;
-  size_fn_ = nullptr;
   seal_fn_ = nullptr;
   // Every dependency edge must have been sealed exactly once: a missed seal
   // would have deadlocked a merge (the claim loop above would never return),

@@ -14,13 +14,10 @@
 // thread runs task 0), so a task owns the same shard every round —
 // shard-local state needs no synchronization beyond the dispatch barrier
 // itself. Stage-2 tasks of a pipeline() dispatch are instead claimed
-// dynamically: publishing a task pushes it onto the publisher's own
-// work-stealing deque, a free thread pops its own deque first and otherwise
-// steals the HEAVIEST top entry across the others (weight from a
-// caller-supplied size hook), so a skewed round's heavyweight merge is never
-// stuck behind lighter ones that happened to publish earlier. Each task runs
-// exactly once on whichever thread wins its claim CAS — the deques only
-// schedule, they never own (see ClaimDeque below).
+// dynamically: publishing a task flips its publish slot to published, and a
+// free thread walks the <= num_threads slots starting at its own index and
+// CASes the first published one to claimed. Each task runs exactly once on
+// whichever thread wins that CAS.
 //
 // A stage-1 task SEALS when its function returns: every out-edge at once,
 // decrementing the dependency counters of the stage-2 tasks it feeds. The
@@ -106,23 +103,6 @@ class Executor {
     const int* dep_count = nullptr;  // size num_tasks, each >= 1
   };
 
-  // Per-dispatch knobs for pipeline(). size_of, when non-null, is invoked
-  // on the publishing thread as size_of(ctx, d) to weight stage-2 task d for
-  // the largest-first claim order; every feeder of d has sealed by then, so
-  // it may read all of d's staged inputs. Null = all tasks weigh 0 and
-  // claims fall back to lowest-index-first.
-  // on_seal, when non-null, is invoked as on_seal(ctx, s, d) at the top of
-  // every effective seal of edge (s → d), on the sealing thread, BEFORE the
-  // dependency counter drops. The data plane publishes bucket (s, d) on its
-  // transport there (§10): the seal's release chain then carries the
-  // published frame to whichever thread merges d. A withheld seal
-  // (debug_withhold_seal) suppresses the hook too — it models the seal never
-  // happening.
-  struct PipelineOpts {
-    int (*size_of)(void* ctx, int d) = nullptr;
-    void (*on_seal)(void* ctx, int s, int d) = nullptr;
-  };
-
   // Spawns num_threads - 1 workers (thread 0 is the caller). watchdog_ms
   // arms the no-progress watchdog (§9) on the executor's blocking waits;
   // 0 disables it, the PW_WATCHDOG_MS environment variable overrides either.
@@ -143,23 +123,25 @@ class Executor {
   // on thread t exactly like parallel(); the moment a thread finishes its
   // stage-1 task it SEALS it — decrementing the dependency counters of the
   // stage-2 tasks it feeds (deps.out) — and the thread that drops a counter
-  // to zero PUBLISHES that stage-2 task (with its size_of weight). Free
-  // threads claim published stage-2 tasks largest-first (any thread, each
-  // task exactly once) until all num_tasks of them have run, so stage-2 work
-  // for one task overlaps stage-1 work of tasks it does not depend on.
+  // to zero PUBLISHES that stage-2 task. Free threads claim published
+  // stage-2 tasks (any thread, each task exactly once) until all num_tasks
+  // of them have run, so stage-2 work for one task overlaps stage-1 work of
+  // tasks it does not depend on.
   // Returns when both stages finished everywhere (a full barrier like
   // parallel()); there is no barrier BETWEEN the stages. Not reentrant, and
   // this_task() inside a stage-2 task reports the stage-2 task id. The
   // dispatch ends with every dependency counter at zero (checked: a missed
   // seal would deadlock a merge, a double seal could run one twice).
+  // on_seal, when non-null, is invoked as on_seal(ctx, s, d) at the top of
+  // every effective seal of edge (s → d), on the sealing thread, BEFORE the
+  // dependency counter drops. The data plane publishes bucket (s, d) on its
+  // transport there (§10): the seal's release chain then carries the
+  // published frame to whichever thread merges d. A withheld seal
+  // (debug_withhold_seal) suppresses the hook too — it models the seal never
+  // happening.
   void pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
                 const PipelineDeps& deps, void* ctx,
-                const PipelineOpts& opts);
-  // Default-opts convenience overload (defined below the class: a nested
-  // aggregate's member initializers cannot back a default argument inside
-  // the enclosing class).
-  void pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
-                const PipelineDeps& deps, void* ctx);
+                void (*on_seal)(void* ctx, int s, int d) = nullptr);
 
   // True when no dispatch is in flight (all workers have finished their
   // tasks and reported). Between dispatches this is the executor's resting
@@ -216,11 +198,11 @@ class Executor {
     kPhaseClaim,
     kPhaseStage2,
   };
-  // ready_state_ publish protocol values; any value >= 0 is a published,
-  // unclaimed task carrying its size_of weight.
+  // ready_state_ publish protocol: unpublished → published → claimed.
   enum : int {
-    kReadyUnpublished = -1,
-    kReadyClaimed = -2,
+    kReadyUnpublished = 0,
+    kReadyPublished,
+    kReadyClaimed,
   };
 
   void worker_loop(int idx);
@@ -231,8 +213,6 @@ class Executor {
   // d: decrements d's dependency counter (acq_rel, so everything the task
   // wrote for d is published) and, on reaching zero, publishes d.
   void seal(int d);
-  int deque_take(int idx);
-  int deque_steal(int idx);
 
   // Blocks until a.load(acquire) != expected and returns the observed value,
   // parking on a timed futex when the watchdog is armed: a full window with
@@ -249,7 +229,6 @@ class Executor {
   PipelineDeps deps_{};
   int num_tasks_ = 0;
   bool stop_ = false;
-  int (*size_fn_)(void*, int) = nullptr;  // largest-first claim weights
   void (*seal_fn_)(void*, int, int) = nullptr;  // §10 transport publish hook
   // Dispatch protocol: fn_/ctx_/stage2_/deps_/num_tasks_/stop_ and the
   // pipeline counters below are written by the caller, then published by the
@@ -261,12 +240,11 @@ class Executor {
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<int> outstanding_{0};
   // Pipeline state, sized to num_threads_ once at construction.
-  // ready_state_[d] carries stage-2 task d's publish state (kReadyUnpublished
-  // → size weight on publish → kReadyClaimed on claim); claiming is a CAS on
-  // the published weight, so each task runs exactly once even when several
-  // threads pick the same largest entry. published_seq_ counts publishes
-  // (plus the final claim) and is the single futex claimers park on;
-  // claimed_ counts claims so threads know when the dispatch is drained.
+  // ready_state_[d] carries stage-2 task d's publish state (kReady*); the
+  // claim is a CAS from published to claimed, so each task runs exactly once
+  // even when several threads reach the same slot. published_seq_ counts
+  // publishes (plus the final claim) and is the single futex claimers park
+  // on; claimed_ counts claims so threads know when the dispatch is drained.
   // claim_waiters_ counts threads parked on published_seq_ (a seq_cst
   // store-buffer handshake against the publish bump), so a publish skips the
   // wake syscall when nobody sleeps and wakes one claimer — not the herd —
@@ -275,28 +253,8 @@ class Executor {
   // elements live in the heap blocks, spaced by the §8 claim protocol)
   std::vector<std::atomic<int>> deps_left_;
   std::vector<std::atomic<int>> ready_state_;
-  // Work-stealing claim index (§8): one Chase-Lev-style deque per thread. A
-  // publishing thread pushes the task onto its OWN deque (bottom end, owner
-  // only); a free thread pops its own bottom first, then steals the heaviest
-  // top entry across the other deques (weight read back from ready_state_).
-  // The entries are HINTS, not ownership: ready_state_'s CAS below stays the
-  // exactly-once claim arbiter, so a stale hint (task already claimed via
-  // another hint or the fallback scan) is simply discarded when that CAS
-  // fails, and the fallback full scan of ready_state_ keeps every published
-  // task reachable even when all its hints were consumed by CAS losers.
-  // Fixed capacity num_threads_ per deque with no wraparound: a dispatch
-  // publishes each of its <= num_threads_ tasks exactly once, so bottom
-  // cannot pass the buffer end even if one thread publishes them all; both
-  // cursors reset to zero in pipeline() setup, before the generation bump.
-  struct alignas(64) ClaimDeque {
-    std::atomic<int> top{0};
-    std::atomic<int> bottom{0};
-  };
-  std::vector<ClaimDeque> deques_;
   // SHARED-LINE(the three claim counters move together in every claim
-  // handshake — separating them would triple the misses; deque_buf_'s
-  // header is cold, its hint slots live in the heap block)
-  std::vector<std::atomic<int>> deque_buf_;  // [thread * num_threads_ + slot]
+  // handshake — separating them would triple the misses)
   std::atomic<int> published_seq_{0};
   std::atomic<int> claimed_{0};
   std::atomic<int> claim_waiters_{0};
@@ -322,10 +280,5 @@ class Executor {
   std::vector<std::thread> workers_;
   int num_threads_ = 1;
 };
-
-inline void Executor::pipeline(int num_tasks, TaskFn stage1, TaskFn stage2,
-                               const PipelineDeps& deps, void* ctx) {
-  pipeline(num_tasks, stage1, stage2, deps, ctx, PipelineOpts());
-}
 
 }  // namespace pw::sim

@@ -192,7 +192,7 @@ TEST(EngineFuzz, TraceIdenticalAcrossFullConfigMatrix) {
             << policy_name(policy) << " fault-config " << f << " n=" << g.n();
         // Extra soak on the deepest configuration — 4-thread pipelined over
         // the in-place shm wire path stacks every protocol (overlapped
-        // merges, frame publish/retire, deque claims), so it gets
+        // merges, frame publish/retire, merge claims), so it gets
         // PW_FUZZ_SOAK_REPS more replays than the rest of the matrix.
         if (policy.num_threads == 4 && policy.pipeline) {
           const std::uint64_t reps = env_u64("PW_FUZZ_SOAK_REPS", 2);

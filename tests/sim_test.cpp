@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/graph/generators.hpp"
+#include "src/sim/data_plane.hpp"
 #include "src/sim/engine.hpp"
 
 namespace pw::sim {
@@ -163,6 +167,17 @@ TEST(Engine, ActiveNodesSorted) {
   EXPECT_EQ(active[1], 3);
   EXPECT_EQ(active[2], 4);
   eng.end_round();
+}
+
+TEST(DataPlaneDeathTest, DeliveryArenaOverflowAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // Under faults the arena holds 3 entries per arc, indexed by int: the
+  // largest admissible arc count is INT_MAX / 3, one more overflows.
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  DataPlane::check_delivery_size(kMax, 1);
+  DataPlane::check_delivery_size(kMax / 3, 3);
+  EXPECT_DEATH(DataPlane::check_delivery_size(kMax / 3 + 1, 3),
+               "delivery arena too large: 715827883 arcs x 3");
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Audit the engine's atomics for explicit ordering and PAIR discipline.
 
-The lock-free surface of the sharded engine — executor claim deques,
-per-edge seal flags, ring pub_seq handshakes (DESIGN.md §8/§10) — depends
+The lock-free surface of the sharded engine — executor dependency counters
+and merge-claim slots, ring pub_seq handshakes (DESIGN.md §8/§10) — depends
 on release/acquire pairings that prose documents and TSan only samples.
 This lint makes them machine-checked (DESIGN.md §11):
 

@@ -87,7 +87,7 @@ class RscanObjectExpr(unittest.TestCase):
             lint_common.rscan_object_expr(code, code.rindex(".")), "pub_seq")
 
     def test_nested_struct_member(self):
-        self.assertEqual(self.scan("deques_[t].top.load"), "top")
+        self.assertEqual(self.scan("threads_state_[t].ticks.load"), "ticks")
 
 
 class DeclaredAtomicNames(unittest.TestCase):
