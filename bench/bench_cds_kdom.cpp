@@ -66,7 +66,6 @@ void run() {
                       {"n", g.n()},
                       {"k", k},
                       {"threads", threads},
-                      {"pipeline", eng.pipelined() ? 1 : 0},
                       {"host_threads", host_threads},
                       {"set_size", res.dominators.size()},
                       {"bound", static_cast<std::uint64_t>(6 * g.n() / k + 1)},
@@ -107,7 +106,6 @@ void run() {
                       {"graph", "GNM"},
                       {"n", n},
                       {"threads", threads},
-                      {"pipeline", eng.pipelined() ? 1 : 0},
                       {"host_threads", host_threads},
                       {"cds_size", res.size},
                       {"greedy_ref", ref_size},
@@ -134,7 +132,7 @@ void run() {
     for (int e = 0; e < g.m(); ++e) h[e] = rng.next_bool(0.5);
     std::vector<std::uint64_t> values(g.n());
     for (auto& x : values) x = rng.next_below(1u << 16);
-    auto report = [&](const char* primitive, int threads, bool pipeline,
+    auto report = [&](const char* primitive, int threads,
                       const sim::PhaseStats& st, std::uint64_t wall_ns) {
       table.add_row({primitive, fm(static_cast<std::uint64_t>(g.n())),
                      fm(static_cast<std::uint64_t>(threads)), "-",
@@ -144,7 +142,6 @@ void run() {
                     {"primitive", primitive},
                     {"n", g.n()},
                     {"threads", threads},
-                    {"pipeline", pipeline ? 1 : 0},
                     {"host_threads", host_threads},
                     {"rounds", st.rounds},
                     {"messages", st.messages},
@@ -160,16 +157,14 @@ void run() {
         const auto snap = eng.snap();
         const auto t0 = now_ns();
         apps::component_sum(eng, h, values, {});
-        report("component_sum", threads, eng.pipelined(), eng.since(snap),
-               now_ns() - t0);
+        report("component_sum", threads, eng.since(snap), now_ns() - t0);
       }
       {
         sim::Engine eng(g, sim::ExecutionPolicy{threads});
         const auto snap = eng.snap();
         const auto t0 = now_ns();
         apps::component_topk(eng, h, values, 3, {});
-        report("component_top3", threads, eng.pipelined(), eng.since(snap),
-               now_ns() - t0);
+        report("component_top3", threads, eng.since(snap), now_ns() - t0);
       }
     }
     table.print("Corollary A.2 — Thurimella-extension aggregates (PA instances)");

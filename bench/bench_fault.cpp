@@ -51,7 +51,6 @@ void run() {
              {"n", inst.g.n()},
              {"drop_prob", drop},
              {"threads", threads},
-             {"pipeline", eng.pipelined() ? 1 : 0},
              {"host_threads", host_threads},
              {"completed", res.completed ? 1 : 0},
              {"rounds", res.stats.rounds},

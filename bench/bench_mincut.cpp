@@ -55,7 +55,6 @@ void run() {
              {"n", g.n()},
              {"eps", eps},
              {"threads", threads},
-             {"pipeline", eng.pipelined() ? 1 : 0},
              {"host_threads", host_threads},
              {"exact_cut", static_cast<std::uint64_t>(exact)},
              {"found_cut", static_cast<std::uint64_t>(res.cut_value)},

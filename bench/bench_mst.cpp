@@ -27,7 +27,7 @@ void run() {
     // Rounds/messages are policy-invariant (DESIGN.md §7; pinned by
     // tests/apps_parallel_test.cpp), so the thread sweep only moves the
     // wall-clock columns; every row still re-checks the weight oracle.
-    auto report = [&](const char* strategy, int threads, bool pipeline,
+    auto report = [&](const char* strategy, int threads,
                       const apps::MstResult& res, std::uint64_t wall_ns) {
       table.add_row({name, fm(static_cast<std::uint64_t>(g.n())), strategy,
                      fm(static_cast<std::uint64_t>(threads)),
@@ -42,7 +42,6 @@ void run() {
            {"n", g.n()},
            {"strategy", strategy},
            {"threads", threads},
-           {"pipeline", pipeline ? 1 : 0},
            {"host_threads", host_threads},
            {"rounds", res.stats.rounds},
            {"messages", res.stats.messages},
@@ -71,13 +70,13 @@ void run() {
         cfg.seed = 31;
         const auto t0 = now_ns();
         const auto res = apps::boruvka_mst(eng, cfg);
-        report(strat.name, threads, eng.pipelined(), res, now_ns() - t0);
+        report(strat.name, threads, res, now_ns() - t0);
       }
       {
         sim::Engine eng(g, policy);
         const auto t0 = now_ns();
         const auto res = apps::ghs_style_mst(eng);
-        report("ghs-style", threads, eng.pipelined(), res, now_ns() - t0);
+        report("ghs-style", threads, res, now_ns() - t0);
       }
     }
   };

@@ -62,7 +62,6 @@ void run() {
            {"n", inst.g.n()},
            {"parts", inst.p.num_parts},
            {"threads", threads},
-           {"pipeline", eng2.pipelined() ? 1 : 0},
            {"host_threads", host_threads},
            {"with_leader_rounds", with_leader.rounds},
            {"with_leader_messages", with_leader.messages},

@@ -11,14 +11,13 @@
 //   flood_cold    one engine per flood phase — includes per-engine setup.
 //   skewed_flood  repeated skewed-activity phases (only the top n/skew ids
 //                 send, re-waking every round) — callback work concentrates
-//                 in one shard, the regime where the pipelined close
-//                 (DESIGN.md §8) must not fall behind the barriered one.
-//                 Swept over hot-band denominators (the
-//                 `skew` column; PW_BENCH_SKEW=8,32 comma-list override,
-//                 default {8, 32}), and each (n, skew) combo also reports
-//                 the per-shard incoming-message imbalance (max/mean over
-//                 destination shards, `shard_imbalance`): how lopsided the
-//                 merge work is that the pipelined close overlaps.
+//                 in one shard, so every round waits out that shard's sweep
+//                 at the dispatch barrier (DESIGN.md §8). Swept over
+//                 hot-band denominators (the `skew` column; PW_BENCH_SKEW=8,32
+//                 comma-list override, default {8, 32}), and each (n, skew)
+//                 combo also reports the per-shard incoming-message imbalance
+//                 (max/mean over destination shards, `shard_imbalance`): how
+//                 lopsided the merge work is.
 //   bfs_tree      build_bfs_tree per repetition (engine per rep).
 //   convergecast  forest_convergecast per repetition (engine per rep).
 //
@@ -29,10 +28,7 @@
 // the shared bench::thread_sweep helper (bench/common.hpp) — {1, 2, hc}
 // deduped, capped at the workload's node count, PW_BENCH_THREADS override.
 // Every JSON row records the detected core count (`host_threads`) so
-// artifacts from different runner classes are distinguishable, and
-// multi-thread flood rows are swept over both round-close modes of
-// DESIGN.md §8 (`pipeline` column: 0 = barriered, 1 = pipelined), so the
-// regression gate watches each close mode independently.
+// artifacts from different runner classes are distinguishable.
 #include "bench/common.hpp"
 #include "bench/workloads.hpp"
 #include "src/tree/treeops.hpp"
@@ -112,8 +108,9 @@ std::vector<int> skew_sweep() {
 // round: every hot sender (top n/skew ids) sends on all ports, so shard d
 // receives one message per arc from the hot band into d. Replicates the
 // engine's shard layout (contiguous power-of-two chunks, data_plane.cpp) so
-// the number describes exactly the §8 merge tasks of that round. Returns max/mean over destination shards (1.0 = perfectly
-// even); 0 when the layout degenerates to one shard.
+// the number describes exactly the merge tasks of that round. Returns
+// max/mean over destination shards (1.0 = perfectly even); 0 when the layout
+// degenerates to one shard.
 double shard_imbalance(const graph::Graph& g, int threads, int skew) {
   const int n = g.n();
   const int chunk = (n + threads - 1) / threads;
@@ -137,17 +134,10 @@ double shard_imbalance(const graph::Graph& g, int threads, int skew) {
 }
 
 void run() {
-  Table table({"workload", "n", "m", "threads", "pipe", "skew", "reps",
-               "rounds/rep", "msgs/rep", "ns/round", "ns/msg", "ms/rep"});
+  Table table({"workload", "n", "m", "threads", "skew", "reps", "rounds/rep",
+               "msgs/rep", "ns/round", "ns/msg", "ms/rep"});
   JsonEmitter json("engine_microbench");
   const int host_threads = detected_cores();
-
-  // `pipe` is the pipeline column of the artifact: 0 = barriered close,
-  // 1 = pipelined close (DESIGN.md §8).
-  auto policy_of = [](int threads, int pipe) {
-    return sim::ExecutionPolicy{.num_threads = threads, .pipeline = pipe == 1};
-  };
-  const char* const kPipeNames[] = {"off", "on"};
   // skew < 0 = not a skewed workload: no skew column in the JSON row, so the
   // row keys of every pre-existing workload are unchanged and old baselines
   // keep matching (check_regression defaults absent skew to 8 on both sides).
@@ -155,7 +145,7 @@ void run() {
   // JSON row, so every pre-existing row key is unchanged and old baselines
   // keep matching (check_regression defaults absent transport to "inproc").
   auto report = [&](const std::string& name, const graph::Graph& g,
-                    int threads, int pipe, int reps, const Result& r,
+                    int threads, int reps, const Result& r,
                     int skew = -1, double imbalance = -1.0,
                     const char* transport = nullptr) {
     const double ns_per_round =
@@ -165,7 +155,7 @@ void run() {
     table.add_row({transport == nullptr ? name : name + "/" + transport,
                    fm(static_cast<std::uint64_t>(g.n())),
                    fm(static_cast<std::uint64_t>(g.m())),
-                   fm(static_cast<std::uint64_t>(threads)), kPipeNames[pipe],
+                   fm(static_cast<std::uint64_t>(threads)),
                    skew < 0 ? "-" : fm(static_cast<std::uint64_t>(skew)),
                    fm(static_cast<std::uint64_t>(reps)), fm(r.rounds),
                    fm(r.messages), fd(ns_per_round), fd(ns_per_msg),
@@ -174,7 +164,6 @@ void run() {
                 {"n", g.n()},
                 {"m", g.m()},
                 {"threads", threads},
-                {"pipeline", pipe},
                 {"host_threads", host_threads},
                 {"reps", reps},
                 {"rounds", r.rounds},
@@ -198,32 +187,26 @@ void run() {
     // samples to shrug one off — the regression gate keys on these rows.
     const int reps = n <= 1024 ? 256 : n <= 8192 ? 32 : 16;
 
-    // The anchor workload, swept over thread counts and both round-close
-    // modes: the sharded engine must reproduce identical rounds/messages
-    // (measure() aborts on drift) while the wall clock shows what the shards
-    // — and the §8 merge/callback overlap — buy on the host running it. With
-    // one thread there is a single shard and the close modes coincide, so
-    // only pipeline=off is emitted.
+    // The anchor workload, swept over thread counts: the sharded engine
+    // must reproduce identical rounds/messages (measure() aborts on drift)
+    // while the wall clock shows what the shards buy on the host running it.
     for (const int threads : thread_sweep(n)) {
-      for (int pipe = 0; pipe <= (threads > 1 ? 1 : 0); ++pipe) {
-        sim::Engine eng(g, policy_of(threads, pipe));
-        std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
-        const auto r =
-            measure(eng, 3, reps, [&] { flood_workload(eng, seen); });
-        report("flood_steady", g, threads, pipe, reps, r);
-        if (threads > 1) {
-          // The same workload over the §10 shared-memory ring transport:
-          // every cross-shard bucket pays serialize + ring + deserialize.
-          // The gap to the in-proc row above IS the transport tax, gated so
-          // the wire path cannot quietly rot.
-          sim::ExecutionPolicy shm = policy_of(threads, pipe);
-          shm.transport = sim::TransportKind::kShmRing;
-          sim::Engine ring_eng(g, shm);
-          std::vector<char> ring_seen(static_cast<std::size_t>(g.n()), 0);
-          const auto rr = measure(ring_eng, 3, reps,
-                                  [&] { flood_workload(ring_eng, ring_seen); });
-          report("flood_steady", g, threads, pipe, reps, rr, -1, -1.0, "shm");
-        }
+      sim::Engine eng(g, sim::ExecutionPolicy{threads});
+      std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
+      const auto r = measure(eng, 3, reps, [&] { flood_workload(eng, seen); });
+      report("flood_steady", g, threads, reps, r);
+      if (threads > 1) {
+        // The same workload over the §10 shared-memory ring transport:
+        // every cross-shard bucket pays publish + drain + retire. The gap
+        // to the in-proc row above IS the transport tax, gated so the wire
+        // path cannot quietly rot.
+        const sim::ExecutionPolicy shm{
+            .num_threads = threads, .transport = sim::TransportKind::kShmRing};
+        sim::Engine ring_eng(g, shm);
+        std::vector<char> ring_seen(static_cast<std::size_t>(g.n()), 0);
+        const auto rr = measure(ring_eng, 3, reps,
+                                [&] { flood_workload(ring_eng, ring_seen); });
+        report("flood_steady", g, threads, reps, rr, -1, -1.0, "shm");
       }
     }
     {
@@ -235,14 +218,14 @@ void run() {
         probe.charge_rounds(eng.rounds());
         probe.charge_messages(eng.messages());
       });
-      report("flood_cold", g, 1, 0, reps, r);
+      report("flood_cold", g, 1, reps, r);
     }
   }
 
   // Skewed sender activity (only the top n/skew ids send, re-waking for a
   // fixed round budget): the callback work of every round concentrates in
-  // the top shard, so under the pipelined close every merge the hot shard
-  // feeds waits for that one long sweep. Each (n, threads, skew) combo
+  // the top shard, so every round's merges wait at the dispatch barrier for
+  // that one long sweep. Each (n, threads, skew) combo
   // carries the per-shard incoming-message imbalance of its merges — the
   // skew study: higher skew, higher imbalance.
   const auto skews = skew_sweep();
@@ -253,12 +236,10 @@ void run() {
     for (const int skew : skews) {
       for (const int threads : thread_sweep(n)) {
         const double imb = shard_imbalance(g, threads, skew);
-        for (int pipe = 0; pipe <= (threads > 1 ? 1 : 0); ++pipe) {
-          sim::Engine eng(g, policy_of(threads, pipe));
-          const auto r = measure(
-              eng, 2, reps, [&] { skewed_flood_workload(eng, 12, skew); });
-          report("skewed_flood", g, threads, pipe, reps, r, skew, imb);
-        }
+        sim::Engine eng(g, sim::ExecutionPolicy{threads});
+        const auto r = measure(
+            eng, 2, reps, [&] { skewed_flood_workload(eng, 12, skew); });
+        report("skewed_flood", g, threads, reps, r, skew, imb);
       }
     }
   }
@@ -275,7 +256,7 @@ void run() {
       probe.charge_messages(eng.messages());
       if (t.height() < 0) std::abort();  // keep the tree from being optimized out
     });
-    report("bfs_tree", g, 1, 0, reps, r);
+    report("bfs_tree", g, 1, reps, r);
   }
 
   for (const int n : {1024, 8192}) {
@@ -293,7 +274,7 @@ void run() {
       probe.charge_messages(eng.messages());
       if (sums[0] != static_cast<std::uint64_t>(g.n())) std::abort();
     });
-    report("convergecast", g, 1, 0, reps, r);
+    report("convergecast", g, 1, reps, r);
   }
 
   table.print("Engine microbench — simulation cost per round and per message");

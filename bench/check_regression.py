@@ -18,11 +18,8 @@ tracking, but they never fail CI: their wall clocks sit on top of whole
 algorithm stacks whose variance hasn't been characterized (ROADMAP), so a
 hard gate would cry wolf.
 
-The `pipeline` key selects the round-close mode of DESIGN.md §8 — 0 =
-barriered, 1 = pipelined (each sender shard seals its buckets when its sweep
-returns) — so both close modes are tracked independently; rows written
-before the column existed default to 0 (the barriered close was the only
-mode then). The
+The engine has one round close (DESIGN.md §8), so rows carry no close-mode
+key; a `pipeline` field left in an older baseline row is ignored. The
 `skew` key is the skewed_flood hot-band denominator (senders = top n/skew
 ids); rows without it — all non-skewed workloads, plus skewed rows written
 before the sweep existed — default to the historical 8.
@@ -50,46 +47,44 @@ BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "baseline")
 METRIC = "ns_per_message"
 # Key fields absent from a row default here, so rows written before a key
-# column existed keep matching: `pipeline` predates the close-mode sweep
-# (0 = barriered was the only mode), `skew` predates the skewed_flood
-# hot-band sweep (8 = the historical top-n/8 band; non-skewed workloads
+# column existed keep matching: `skew` predates the skewed_flood hot-band
+# sweep (8 = the historical top-n/8 band; non-skewed workloads
 # never carry the field, so they default identically on both sides), and
 # `transport` predates the §10 shared-memory ring backend ("inproc" was the
 # only data plane transport).
-KEY_DEFAULTS = {"pipeline": 0, "skew": 8, "transport": "inproc"}
+KEY_DEFAULTS = {"skew": 8, "transport": "inproc"}
 
 # Key fields per benchmark name (the "benchmark" field of the artifact).
 # `gated`: regressions FAIL; otherwise the comparison is report-only.
 SCHEMAS = {
     "engine_microbench": {
         "file": "BENCH_engine.json",
-        "keys": ("workload", "n", "threads", "pipeline", "skew", "transport"),
+        "keys": ("workload", "n", "threads", "skew", "transport"),
         "gated": True,
     },
     "mst_corollary_1_3": {
         "file": "BENCH_mst.json",
-        "keys": ("graph", "strategy", "threads", "pipeline"),
+        "keys": ("graph", "strategy", "threads"),
         "gated": False,
     },
     "mincut_corollary_1_4": {
         "file": "BENCH_mincut.json",
-        "keys": ("graph", "eps", "threads", "pipeline"),
+        "keys": ("graph", "eps", "threads"),
         "gated": False,
     },
     "noleader_ablation_ab3": {
         "file": "BENCH_noleader.json",
-        "keys": ("graph", "threads", "pipeline"),
+        "keys": ("graph", "threads"),
         "gated": False,
     },
     "cds_kdom_corollaries_a2_a3": {
         "file": "BENCH_cds_kdom.json",
-        "keys": ("section", "graph", "primitive", "n", "k", "threads",
-                 "pipeline"),
+        "keys": ("section", "graph", "primitive", "n", "k", "threads"),
         "gated": False,
     },
     "fault_degradation": {
         "file": "BENCH_fault.json",
-        "keys": ("workload", "graph", "drop_prob", "threads", "pipeline"),
+        "keys": ("workload", "graph", "drop_prob", "threads"),
         "gated": False,
     },
 }

@@ -2,7 +2,7 @@
 """Inproc-vs-shm transport-tax summary for BENCH_engine.json (DESIGN.md §10).
 
 Pairs every shm-transport row with its matching inproc row (same workload,
-n, threads, pipeline, skew) and prints the per-key ns_per_message delta —
+n, threads, skew) and prints the per-key ns_per_message delta —
 the live transport tax of the zero-copy wire path. Pure report: exit code
 is 0 whenever the input parses and at least one pair exists (the regression
 gate in check_regression.py is what fails CI). CI runs this in bench-smoke

@@ -34,11 +34,9 @@ inline void flood_workload(sim::Engine& eng, std::vector<char>& seen) {
 // while everything below just receives. With contiguous id-range shards the
 // callback work of a round concentrates in the top shard(s) and the rest
 // finish their sweeps almost immediately — the skewed regime of DESIGN.md
-// §8, where every merge the hot shard feeds waits out its whole sweep under
-// the pipelined close, and the barriered close waits for it everywhere.
-// Defined purely in node-id
-// terms, so the work is identical under every shard layout (the trace/drift
-// guards rely on that). The final drain discards the hot set's last
+// §8, where every round's merges wait out the hot shard's whole sweep at the
+// dispatch barrier. Defined purely in node-id terms, so the work is
+// identical under every shard layout (the trace/drift guards rely on that). The final drain discards the hot set's last
 // self-wakes so repeated phases do identical work.
 //
 // `skew_denom` sets the hot-band fraction (hot senders = n / skew_denom,

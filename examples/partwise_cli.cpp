@@ -5,9 +5,10 @@
 //
 //   algorithm: pa | pa-noleader | mst | mincut | sssp | kdom | cds | arq
 //   family:    gnm | grid | torus | apex | ktree | caterpillar | path
-//   --threads: engine worker threads (default: hardware concurrency). The
-//              results and the round/message accounting are identical at any
-//              thread count (DESIGN.md §7) — only the wall clock moves.
+//   --threads: engine worker threads, 1..1024 (default: hardware
+//              concurrency). The results and the round/message accounting
+//              are identical at any thread count (DESIGN.md §7) — only the
+//              wall clock moves.
 //
 // Fault-injection flags (DESIGN.md §9) arm the deterministic fault plane:
 //   --fault-seed S   hash seed for the drop/delay/dup verdicts (default 1)
@@ -159,7 +160,8 @@ int main(int argc, char** argv) {
       pos.push_back(argv[i]);
     }
   }
-  if (bad_flag || pos.size() < 2 || threads < 1) {
+  if (bad_flag || pos.size() < 2 || threads < 1 ||
+      threads > sim::ExecutionPolicy::kMaxThreads) {
     std::fprintf(stderr,
                  "usage: %s <pa|pa-noleader|mst|mincut|sssp|kdom|cds|arq> "
                  "<gnm|grid|torus|apex|ktree|caterpillar|path> [n=512] "

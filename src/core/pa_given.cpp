@@ -103,9 +103,9 @@ class Waveguide {
 
   // --- Stage 1: wave (Algorithm 1 lines 1-20). -----------------------------
   // Executed as budget-limited Engine::run segments between delay groups, so
-  // the per-node wave steps dispatch shard-parallel (DESIGN.md §7) and the
-  // pipelined close (§8) applies; the delay bookkeeping — waking the next
-  // leaders, charging idle gaps — stays in sequential inter-segment code.
+  // the per-node wave steps dispatch shard-parallel (DESIGN.md §7); the
+  // delay bookkeeping — waking the next leaders, charging idle gaps — stays
+  // in sequential inter-segment code.
   // Accounting is identical to a manual one-round-at-a-time loop: run()
   // executes a round exactly when the network isn't idle, and the skipped
   // rounds of an idle gap are genuine CONGEST rounds, charged as before.

@@ -63,33 +63,6 @@ DataPlane::DataPlane(const graph::Graph& g, int max_shards,
     bucket_base_[i] += bucket_base_[i - 1];
   bucket_cur_.assign(static_cast<std::size_t>(S) * cur_stride_ / 16, CurLine{});
 
-  // Dependency graph of the pipelined close (§8): s feeds d iff bucket (d, s)
-  // has nonzero capacity, plus the self edge. Built from bucket_base_ so the
-  // graph and the capacities can never disagree.
-  if (S > 1) {
-    auto has_edge = [&](int s, int d) {
-      const auto b = static_cast<std::size_t>(d) * S + s;
-      return s == d || bucket_base_[b + 1] > bucket_base_[b];
-    };
-    seal_out_beg_.assign(static_cast<std::size_t>(S) + 1, 0);
-    merge_dep_count_.assign(static_cast<std::size_t>(S), 0);
-    for (int s = 0; s < S; ++s)
-      for (int d = 0; d < S; ++d)
-        if (has_edge(s, d)) {
-          ++seal_out_beg_[static_cast<std::size_t>(s) + 1];
-          ++merge_dep_count_[static_cast<std::size_t>(d)];
-        }
-    for (int s = 0; s < S; ++s)
-      seal_out_beg_[static_cast<std::size_t>(s) + 1] +=
-          seal_out_beg_[static_cast<std::size_t>(s)];
-    seal_out_.resize(static_cast<std::size_t>(seal_out_beg_.back()));
-    std::vector<int> cur(seal_out_beg_.begin(), seal_out_beg_.end() - 1);
-    for (int s = 0; s < S; ++s)
-      for (int d = 0; d < S; ++d)
-        if (has_edge(s, d))
-          seal_out_[static_cast<std::size_t>(cur[static_cast<std::size_t>(s)]++)] = d;
-  }
-
   {
     // One arena for both SoA staging views (see the member comment for why a
     // single allocation matters): payloads first — the arena start carries
@@ -107,8 +80,8 @@ DataPlane::DataPlane(const graph::Graph& g, int max_shards,
   // through the transport's per-bucket views, queried once here. The in-proc
   // transport aliases every view straight to the staging arena — identity,
   // never called; the shm-ring transport points cross-shard views INTO the
-  // ring frame regions, so staged bytes are wire bytes and the seal's
-  // publish is copy-free. A single-shard plane has no cross-shard links:
+  // ring frame regions, so staged bytes are wire bytes and the publish is
+  // copy-free. A single-shard plane has no cross-shard links:
   // degenerate to in-proc.
   if (transport == TransportKind::kShmRing && S > 1) {
     transport_ = std::make_unique<ShmRingTransport>(S, bucket_base_,
@@ -152,8 +125,7 @@ void DataPlane::stage(int v, int port, const Msg& m) {
                  "(DESIGN.md §7 contract)",
                  v);
     // A parallel callback may send only AS the node it was invoked on (§7):
-    // node v's outgoing traffic is v's to produce. Checked in every close
-    // mode, so a callback that passes under one cannot break under another.
+    // node v's outgoing traffic is v's to produce.
     PW_CHECK_MSG(shards_[static_cast<std::size_t>(s)].current_cb == v,
                  "parallel callback for node %d sent as node %d: sends are "
                  "allowed only for the invoked node (DESIGN.md §7 contract)",
@@ -177,8 +149,7 @@ void DataPlane::stage(int v, int port, const Msg& m) {
   // Raw cursor store: the arc-stamp guard bounds the bucket fill by its
   // exact arc-count capacity. The append goes through the bucket view —
   // under the shm transport a cross-shard record lands directly at its wire
-  // offset in the ring frame (§10), so the seal's publish has nothing left
-  // to copy.
+  // offset in the ring frame (§10), so the publish has nothing left to copy.
   const int d = shard_of(rec.to);
   int& cur = bucket_cur(s, d);
   const BucketView& bv =
@@ -418,8 +389,8 @@ void DataPlane::scatter_bucket(int d, int s) {
       bucket_view_[static_cast<std::size_t>(d) * num_shards_ + s];
   // Every merge path scatters before it commits, so this is the single drain
   // point of the §10 transport: a pure assertion that the frame the view
-  // points at is visible and carries `cnt` records. Non-blocking — the seal
-  // machinery ordered the publish first.
+  // points at is visible and carries `cnt` records. Non-blocking —
+  // publish_all ran before the merge dispatch started.
   if (shm_transport_) transport_->drain(s, d, cnt);
   if (fault_ != nullptr) {
     for (int i = 0; i < cnt; ++i) {
@@ -500,11 +471,11 @@ void DataPlane::commit_shard(int d, std::uint32_t next_stamp) {
 
   // Ascending actives + run offsets, starting at this shard's STATIC delivery
   // base: the start of its bucket-capacity region, bucket_base_[d * S]. The
-  // base depends on the graph alone — not on this round's traffic — which is
-  // what lets a pipelined merge (§8) run before other destinations' counts
-  // are known: each destination packs its runs inside its own region, and no
-  // two regions overlap. (With one shard the region is the whole arena and
-  // the base is 0, exactly the §5 layout.) The dense sweep fuses emission and
+  // base depends on the graph alone — not on this round's traffic — so each
+  // merge runs without waiting for other destinations' counts: each
+  // destination packs its runs inside its own region, and no two regions
+  // overlap. (With one shard the region is the whole arena and the base is
+  // 0, exactly the §5 layout.) The dense sweep fuses emission and
   // offset assignment (each wake word is read once); the radix path sorts
   // first, then assigns.
   int* out = sorted_out(d);
@@ -607,25 +578,19 @@ void DataPlane::commit_shard(int d, std::uint32_t next_stamp) {
   sh.dirty = false;
 }
 
-void DataPlane::publish_bucket(int s, int d) {
-  if (s == d) return;  // the self bucket never leaves the staging arena
-  // The frame was staged in place through the bucket view; publishing is the
-  // count store plus the ring's release bump — the copy-free seal (§10).
-  transport_->publish(s, d, bucket_cur(s, d));
-}
-
-// Barriered-close publish pass (§10): without seals (end_round, the
-// stamp-wrap fallback, manual round loops) every nonzero link's frame goes
-// out here, on the caller thread, before the merges dispatch — the dispatch
-// barrier then orders publish before every drain, exactly like a seal's
-// release chain does under the pipelined closes.
+// Publish pass (§10): every nonzero link's frame — already staged in place
+// through the bucket view, so each publish is a count store plus the ring's
+// release bump — goes out here, on the caller thread, before the merges
+// dispatch. The dispatch's generation bump then orders publish before every
+// drain. The self bucket never leaves the staging arena.
 void DataPlane::publish_all() {
   const int S = num_shards_;
   for (int d = 0; d < S; ++d)
     for (int s = 0; s < S; ++s) {
       if (s == d) continue;
       const auto b = static_cast<std::size_t>(d) * S + s;
-      if (bucket_base_[b + 1] > bucket_base_[b]) publish_bucket(s, d);
+      if (bucket_base_[b + 1] > bucket_base_[b])
+        transport_->publish(s, d, bucket_cur(s, d));
     }
 }
 
@@ -674,50 +639,6 @@ std::uint64_t DataPlane::end_round(Executor& ex) {
   return close_round();
 }
 
-std::uint64_t DataPlane::run_pipelined_round(Executor& ex,
-                                             Executor::TaskFn sweep,
-                                             void* cb_ctx) {
-  PW_CHECK(num_shards_ > 1);
-  if (round_id_ == std::numeric_limits<std::uint32_t>::max()) {
-    // Once per 2^32 rounds the stamp wrap must clear the arc and run stamp
-    // arrays, which cannot overlap callbacks still staging into them — take
-    // the barriered close for this one round; the pipelined close resumes
-    // next round.
-    ex.parallel(num_shards_, sweep, cb_ctx);
-    return end_round(ex);
-  }
-  struct Ctx {
-    DataPlane* dp;
-    std::uint32_t stamp;
-    Executor::TaskFn sweep;
-    void* cb_ctx;
-  } ctx{this, round_id_ + 1, sweep, cb_ctx};
-  const Executor::PipelineDeps deps{seal_out_beg_.data(), seal_out_.data(),
-                                    merge_dep_count_.data()};
-  // The executor seals a shard's whole out-list when its sweep returns.
-  // §10: a seal IS a publish. The hook runs on the sealing thread — the
-  // owner of sender shard s — before the dependency counter drops, so the
-  // frame the merge drains is ordered by the very release chain that
-  // unlocks it.
-  void (*on_seal)(void*, int, int) = nullptr;
-  if (shm_transport_)
-    on_seal = +[](void* c, int s, int d) {
-      static_cast<Ctx*>(c)->dp->publish_bucket(s, d);
-    };
-  ex.pipeline(
-      num_shards_,
-      +[](void* c, int s) {
-        auto* x = static_cast<Ctx*>(c);
-        x->sweep(x->cb_ctx, s);
-      },
-      +[](void* c, int d) {
-        auto* x = static_cast<Ctx*>(c);
-        x->dp->merge_shard(d, x->stamp);
-      },
-      deps, &ctx, on_seal);
-  return close_round();
-}
-
 void DataPlane::drain() {
   // Delivered-but-unread runs and wakeups die by stamp invalidation; no data
   // moves. Every shard is marked dirty so the next begin_round() rebuilds
@@ -755,8 +676,8 @@ void DataPlane::watchdog_dump() const {
     }
   }
   // Link liveness (§10): per-ring publish/consume indices. On a wedged close
-  // this names the stalled links — a ring still "awaiting publish" while its
-  // consumer parks is a producer that died (or withheld its seal).
+  // this names the stalled links — a ring still "awaiting publish" while the
+  // round cannot close is a producer that never returned.
   transport_->watchdog_dump();
 }
 

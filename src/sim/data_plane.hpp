@@ -1,5 +1,5 @@
 // Sharded flat-arena message data plane of the CONGEST engine
-// (DESIGN.md §5, §7, §8).
+// (DESIGN.md §5, §7).
 //
 // Nodes are partitioned into contiguous id-range shards (power-of-two chunk,
 // so shard lookup is one shift). All mutable per-node state — wake words,
@@ -23,14 +23,8 @@
 // radix), run-offset assignment starting at the shard's STATIC delivery base
 // (the start of its bucket-capacity region — see merge_shard), then the
 // stable scatter. Static bases make merge tasks fully independent of each
-// other AND of callbacks of unrelated shards, which is what allows the
-// pipelined round close (§8): run_pipelined_round() fuses the callback and
-// merge phases into one two-stage Executor dispatch, where destination shard
-// d starts merging as soon as every sender shard with arcs into d (plus d
-// itself — the merge rewrites state d's own callbacks touch) has finished
-// its callback sweep, while unrelated shards still run callbacks. A sender
-// shard seals its whole out-row when its sweep returns (the shard-granular
-// close).
+// other, so end_round() runs them as one barriered Executor dispatch after
+// the callback dispatch — the lock-step round of the model (§8).
 #pragma once
 
 #include <cstdint>
@@ -56,11 +50,11 @@ class DataPlane {
   // duplicated fresh one), and the single-shard plane gives up its
   // stage()-time wake fast path so every shard count takes identical fault
   // decisions in identical places.
-  // `transport` (§10) selects what carries sealed buckets between shards:
+  // `transport` (§10) selects what carries staged buckets between shards:
   // kInProc aliases the merge's receive views to the staging arena (the
-  // identity transport — zero behavior change), kShmRing serializes each
-  // bucket into a shared-memory SPSC ring at its seal and the merge
-  // deserializes before reading. Single-shard planes have no cross-shard
+  // identity transport — zero behavior change), kShmRing stages each
+  // cross-shard bucket in place in a shared-memory SPSC ring, publishes it
+  // before the merges dispatch, and the merge drains it before reading. Single-shard planes have no cross-shard
   // links and degenerate to kInProc whatever was requested.
   DataPlane(const graph::Graph& g, int max_shards,
             const FaultPolicy* faults = nullptr,
@@ -108,7 +102,7 @@ class DataPlane {
   // Engine::run's shard-parallel sweeps record the node whose callback is
   // about to run; stage() checks sends against it (§7: a parallel callback
   // may send only as the node it was invoked on). Owner-written: only shard
-  // s's stage-1 task stores to slot s.
+  // s's callback task stores to slot s.
   void set_current_callback(int s, int v) {
     shards_[static_cast<std::size_t>(s)].current_cb = v;
   }
@@ -121,9 +115,8 @@ class DataPlane {
   // Aliases the delivery arena; invalidated by the next round close or
   // drain(). During a shard-parallel callback, reading the inbox of a node
   // outside the calling task's shard is forbidden (§7) and checked like
-  // stage()/wake() — under the barriered close it was merely nondeterminism,
-  // but under the pipelined close (§8) that shard's run table and delivery
-  // region may already be merging for the next round, a silent data race.
+  // stage()/wake(): what the read sees would depend on the thread schedule,
+  // not on the model.
   std::span<const Incoming> inbox(int v) const {
     if (parallel_callbacks_)
       PW_CHECK_MSG(Executor::this_task() == shard_of(v),
@@ -173,25 +166,9 @@ class DataPlane {
   // The deterministic barriered merge (§7): buckets the staged messages into
   // per-recipient delivery runs and materializes the next round's active set,
   // shard-parallel via `ex`. Returns the number of messages staged this
-  // round. Used by manual round loops and by Engine::run with the pipelined
-  // close disabled; run_pipelined_round() is the overlapped equivalent.
+  // round. The one round close: manual round loops and Engine::run both end
+  // every round here.
   std::uint64_t end_round(Executor& ex);
-
-  // The pipelined round close (§8): one two-stage Executor dispatch that
-  // runs the callback sweep of every shard (stage 1) and merges destination
-  // shards (stage 2) as their incoming traffic completes, overlapping merges
-  // with still-running callbacks. Equivalent to
-  //   for (s) sweep(ctx, s);  // shard-parallel
-  //   end_round(ex);
-  // with bit-identical delivery, active order, and totals — merge order
-  // within a destination shard is unchanged; only the schedule moves. The
-  // sweep just iterates; the executor seals the shard's whole out-list when
-  // it returns. Callbacks run under the same §7
-  // contract as Engine::run's barriered dispatch; the caller brackets this
-  // with set_parallel_callbacks(). Requires num_shards() > 1. Returns the
-  // number of messages staged.
-  std::uint64_t run_pipelined_round(Executor& ex, Executor::TaskFn sweep,
-                                    void* ctx);
 
   // Discards delivered-but-unread runs and scheduled wakeups (stamp
   // invalidation only; no data moves).
@@ -251,10 +228,9 @@ class DataPlane {
   };
 
   // Shard-owned state, cache-line aligned so two workers never share a line
-  // through this array. All fields are written only by the owning task (or
-  // by the single caller thread between dispatches). Under the pipelined
-  // close "owning task" covers both the shard's stage-1 callback task and
-  // its stage-2 merge task: the dependency graph orders the two (§8).
+  // through this array. All fields are written only by the owning task (the
+  // shard's callback task, then its merge task, one dispatch after the other)
+  // or by the single caller thread between dispatches.
   struct alignas(64) Shard {
     std::vector<int> wake_list;  // woken/receiving ids, unordered, deduped
     int beg = 0, end = 0;        // node id range [beg, end)
@@ -263,7 +239,7 @@ class DataPlane {
     bool dirty = false;  // wake() since the last merge/rebuild
     int active_count = 0;
     int active_beg = 0;  // this shard's slice of active_
-    // Node whose callback the shard's stage-1 sweep is currently running
+    // Node whose callback the shard's sweep is currently running
     // (§7 send check; see set_current_callback). Only meaningful while
     // parallel_callbacks_ is set — between dispatches it retains the last
     // invoked node (never reset; every sweep stores before each callback).
@@ -287,14 +263,10 @@ class DataPlane {
   void scatter_due(int d);
   void scatter_bucket(int d, int s);
   void commit_shard(int d, std::uint32_t next_stamp);
-  // §10 transport plumbing (no-ops compiled out when the transport is
-  // in-proc). publish_bucket publishes bucket (s, d)'s frame — already
-  // staged in place through the bucket view, so this is a count store plus
-  // a release bump — when its sender shard seals, via the executor's
-  // on_seal hook. publish_all is the barriered close's equivalent: every
-  // bucket at once, on the caller thread, before the merges dispatch (the
-  // stamp-wrap fallback and manual end_round() loops have no seals).
-  void publish_bucket(int s, int d);
+  // §10 transport plumbing (skipped when the transport is in-proc):
+  // publishes every cross-shard bucket's frame — already staged in place
+  // through the bucket view, so each is a count store plus a release bump —
+  // on the caller thread, before the merges dispatch.
   void publish_all();
   void count_in(Shard& sh, int to, int k);
   Fate fate_of(int to, const Incoming& inc, int d, bool discovery);
@@ -340,7 +312,7 @@ class DataPlane {
   }
 
   std::vector<ArcRec> arc_;
-  // SoA staging arenas, partitioned into buckets (§8): slot i of the flat
+  // SoA staging arenas, partitioned into buckets (§7): slot i of the flat
   // arena holds its receiver id in staging_to_[i] and the delivered payload
   // in staging_inc_[i]. The split keeps the counting pass — which reads ONLY
   // receiver ids — on a dense 4-byte stream (12× the ids per cache line vs
@@ -361,8 +333,8 @@ class DataPlane {
   // merge (scatter, fault verdicts, the delivery copy) reads the same view —
   // staged bytes ARE received bytes on every transport. In-proc every view
   // aliases the staging arena and the transport is never called
-  // (shm_transport_ false — the §8 behavior, bit for bit); under kShmRing
-  // cross-shard views point INTO the ring frame regions, so the seal's
+  // (shm_transport_ false — the pre-§10 behavior, bit for bit); under
+  // kShmRing cross-shard views point INTO the ring frame regions, so the
   // publish is a pure release-bump and the merge reads frames in place,
   // retiring each after the commit copied it out.
   std::unique_ptr<Transport> transport_;
@@ -381,16 +353,6 @@ class DataPlane {
   std::vector<Shard> shards_;
   std::vector<int> active_;         // ascending, all shards concatenated
   std::vector<int> scratch_;        // per-shard sort output (S > 1 only)
-
-  // Static dependency graph of the pipelined close (§8), built once at
-  // construction from the bucket capacities: sender shard s feeds destination
-  // shard d iff any arc runs from s into d, plus the self edge s -> s (a
-  // shard's merge rewrites wake words, runs, and the delivery region its own
-  // callbacks read, so it must wait for them even with no self-arcs).
-  // Layout matches Executor::PipelineDeps.
-  std::vector<int> seal_out_beg_;     // size S + 1
-  std::vector<int> seal_out_;         // concatenated dest lists
-  std::vector<int> merge_dep_count_;  // per dest shard, >= 1
 
   // Armed fault plane (§9), or null for the fault-free hot paths. Set at
   // construction only; merge tasks touch only their own shard's queue/stats

@@ -2,6 +2,20 @@
 
 namespace pw::sim {
 
+namespace {
+// Aborts unless policy.num_threads <= ExecutionPolicy::kMaxThreads, then
+// returns the shard count to request (at least 1). Runs in the data plane's
+// initializer, so the check fires before any bucket table or worker thread
+// exists.
+int checked_shards(const ExecutionPolicy& policy) {
+  PW_CHECK_MSG(policy.num_threads <= ExecutionPolicy::kMaxThreads,
+               "ExecutionPolicy::num_threads = %d exceeds the engine's limit "
+               "of %d threads",
+               policy.num_threads, ExecutionPolicy::kMaxThreads);
+  return policy.num_threads < 1 ? 1 : policy.num_threads;
+}
+}  // namespace
+
 Engine::Engine(const graph::Graph& g, ExecutionPolicy policy)
     : Engine(g, policy, FaultPolicy{}) {}
 
@@ -10,14 +24,11 @@ Engine::Engine(const graph::Graph& g, ExecutionPolicy policy,
     : g_(&g),
       // A disabled fault policy (the default) arms nothing — same engine,
       // bit for bit.
-      dp_(g, policy.num_threads < 1 ? 1 : policy.num_threads, &faults,
-          policy.transport),
+      dp_(g, checked_shards(policy), &faults, policy.transport),
       // Shard rounding can leave fewer shards than requested threads; never
       // spawn workers that could have no shard to own.
       exec_(dp_.num_shards(), policy.watchdog_ms),
-      policy_(policy),
-      // The pipelined close only exists where there are phases to overlap.
-      pipeline_(policy.pipeline && dp_.num_shards() > 1) {
+      policy_(policy) {
   // When the watchdog fires, the data plane's per-bucket fill state is the
   // half of the picture the executor cannot print itself (§9).
   exec_.set_watchdog_dump(
@@ -47,25 +58,25 @@ void Engine::send(int v, int port, const Msg& m) {
 
 void Engine::end_round() {
   PW_CHECK(in_round_);
-  finish_round(dp_.end_round(exec_));
+  messages_ += dp_.end_round(exec_);
+  in_round_ = false;
+  ++rounds_;
 }
 
 void Engine::drain() {
-  // Mid-round drains are forbidden, and with the pipelined close they would
-  // be catastrophic, not just wrong: a callback that drained while sibling
-  // shards still sweep — and destination merges are in flight or their
-  // dependency counters nonzero — would discard wake lists the merges are
-  // concurrently writing (§8). Abort with an explicit message instead of
+  // Mid-round drains are forbidden, and from a shard-parallel callback they
+  // would be a race, not just wrong: a callback that drained while sibling
+  // shards still sweep would discard wake lists those siblings are
+  // concurrently writing (§7). Abort with an explicit message instead of
   // relying on the generic in_round_ check.
   PW_CHECK_MSG(!in_round_ && !dp_.in_parallel_callbacks(),
                "drain() inside an open round: finish the round (or let run() "
-               "return) before draining (DESIGN.md §8)");
-  // Belt and suspenders for the same §8 hazard from a second thread: every
-  // dispatch (barriered or pipelined) fully quiesces the executor before the
-  // round closes, so any in-flight merge task here means the protocol above
-  // was bypassed.
+               "return) before draining (DESIGN.md §7)");
+  // Belt and suspenders for the same hazard from a second thread: every
+  // dispatch fully quiesces the executor before the round closes, so any
+  // in-flight task here means the protocol above was bypassed.
   PW_CHECK_MSG(exec_.quiescent(),
-               "drain() with executor tasks still in flight (DESIGN.md §8)");
+               "drain() with executor tasks still in flight (DESIGN.md §7)");
   // Sends only happen inside rounds and end_round() consumes them, so the
   // staging buckets are empty here; only delivered-but-unread runs and
   // wakeups need discarding.

@@ -11,19 +11,17 @@
 // of simulating quiet regions of the network is zero while round/message
 // accounting remains exact.
 //
-// Execution is layered (DESIGN.md §5, §7, §8): this header owns the public
+// Execution is layered (DESIGN.md §5, §7): this header owns the public
 // round protocol and accounting; `data_plane.{hpp,cpp}` owns the sharded flat
 // message arenas and the deterministic end-of-round merge; `executor.{hpp,cpp}`
 // owns the persistent worker pool. With ExecutionPolicy{k > 1} the per-node
-// callbacks of run() and the end-of-round merge execute shard-parallel, and
-// with the (default-on) pipelined close of §8 the two phases overlap — a
-// destination shard starts merging as soon as its incoming traffic is
-// complete, while unrelated shards still run callbacks. Either way, round
-// counts, message counts, active-node order, and per-inbox delivery order are
-// BIT-IDENTICAL to the sequential engine for any thread count — parallelism
-// lives entirely below the accounting layer. Parallel callbacks must honor
-// the §7 thread-safety contract: the callback for node v may call
-// send(v, ...) / wake(v) (checked) and may only write per-node state it owns.
+// callbacks of run() and the end-of-round merge execute shard-parallel, as
+// two barriered dispatches per round. Round counts, message counts,
+// active-node order, and per-inbox delivery order are BIT-IDENTICAL to the
+// sequential engine for any thread count — parallelism lives entirely below
+// the accounting layer. Parallel callbacks must honor the §7 thread-safety
+// contract: the callback for node v may call send(v, ...) / wake(v)
+// (checked) and may only write per-node state it owns.
 //
 // Accounting: `rounds()` and `messages()` count everything that ran through
 // the engine; messages of the open round are added at end_round().
@@ -68,7 +66,7 @@ class Engine {
   // Chaos-mode engine (DESIGN.md §9): same round protocol, same accounting,
   // but the network may drop, delay, or duplicate messages and crash nodes
   // per `faults` — every decision a pure function of (seed, round, arc), so
-  // a fixed policy replays bit-identically at any thread count / close mode.
+  // a fixed policy replays bit-identically at any thread count / transport.
   Engine(const graph::Graph& g, ExecutionPolicy policy,
          const FaultPolicy& faults);
 
@@ -84,15 +82,10 @@ class Engine {
   // so parallelism follows the caller's choice across the whole stack.
   ExecutionPolicy policy() const { return policy_; }
 
-  // True when run() closes rounds with the pipelined overlap of DESIGN.md §8
-  // (multi-shard engine with ExecutionPolicy::pipeline set). Purely a
-  // scheduling property: accounting and delivery are identical either way.
-  bool pipelined() const { return pipeline_ && dp_.num_shards() > 1; }
-
   // The transport actually carrying cross-shard buckets (§10): kShmRing when
   // requested on a multi-shard engine, else kInProc (a single shard has no
-  // links to carry). Like pipelined(), purely a data-plane property —
-  // delivery traces and accounting are bit-identical on either.
+  // links to carry). Purely a data-plane property — delivery traces and
+  // accounting are bit-identical on either.
   TransportKind transport_kind() const { return dp_.transport_kind(); }
 
   // Schedules v to be processed next round even if it receives no message.
@@ -140,15 +133,8 @@ class Engine {
   // next phase. (Sent-but-dropped messages remain counted: they were sent.)
   // Only legal between rounds on a quiescent engine: calling it from inside
   // an open round — in particular from a shard-parallel callback while
-  // pipelined merge tasks may be in flight — aborts (checked; §8).
+  // sibling shards still sweep — aborts (checked; §7).
   void drain();
-
-  // TEST HOOK (watchdog coverage; see Executor::debug_withhold_seal):
-  // swallows exactly one seal of bucket (task -> dest) in the next pipelined
-  // close, wedging that round's merge so the §9 watchdog fires.
-  void debug_withhold_seal(int task, int dest) {
-    exec_.debug_withhold_seal(task, dest);
-  }
 
   // TEST HOOK (wrap coverage; see DataPlane::debug_set_wrap_state): jumps
   // the round id and wake epoch so the once-per-2^32-round stamp wrap and
@@ -162,10 +148,9 @@ class Engine {
   // Runs rounds until the network is idle or `max_rounds` elapsed, invoking
   // fn(v) for every active node each round. With ExecutionPolicy{k > 1} the
   // callbacks of one round execute shard-parallel (contract: DESIGN.md §7),
-  // and with pipelined() additionally overlapped with the end-of-round merge
-  // (§8): fn may observe other shards' NEXT-round state being built while it
-  // runs, which is why the §7 contract already confines fn(v) to shard-local
-  // reads and writes — a conforming callback cannot tell the modes apart.
+  // then the end-of-round merge runs as a second barriered dispatch. The §7
+  // contract confines fn(v) to shard-local reads and writes, so a conforming
+  // callback cannot tell the thread counts apart.
   //
   // Returns the number of round-loop iterations EXECUTED — by design NOT the
   // same thing as the rounds() delta. rounds() additionally grows by any
@@ -191,8 +176,7 @@ class Engine {
       Engine* e;
       std::remove_reference_t<F>* f;
     } ctx{this, &fn};
-    // One whole-shard sweep with fn inlined in the loop, shared by the
-    // barriered dispatch, the pipelined close, and its stamp-wrap fallback.
+    // One whole-shard sweep with fn inlined in the loop.
     const auto callbacks = +[](void* c, int s) {
       auto* x = static_cast<Ctx*>(c);
       for (const int v : x->e->dp_.shard_active(s)) {
@@ -204,18 +188,9 @@ class Engine {
     while (!idle() && executed < max_rounds) {
       begin_round();
       dp_.set_parallel_callbacks(true);
-      if (pipeline_) {
-        // Pipelined close (§8): callbacks and the merge fuse into one
-        // two-stage dispatch; only the accounting tail is sequential.
-        const std::uint64_t staged =
-            dp_.run_pipelined_round(exec_, callbacks, &ctx);
-        dp_.set_parallel_callbacks(false);
-        finish_round(staged);
-      } else {
-        exec_.parallel(dp_.num_shards(), callbacks, &ctx);
-        dp_.set_parallel_callbacks(false);
-        end_round();
-      }
+      exec_.parallel(dp_.num_shards(), callbacks, &ctx);
+      dp_.set_parallel_callbacks(false);
+      end_round();
       ++executed;
     }
     return executed;
@@ -245,21 +220,11 @@ class Engine {
   }
 
  private:
-  // The accounting tail every round close funds, whichever close mode staged
-  // the messages (§7 end_round(), §8 pipelined) — keep it in one place so the
-  // two modes cannot drift.
-  void finish_round(std::uint64_t staged) {
-    in_round_ = false;
-    messages_ += staged;
-    ++rounds_;
-  }
-
   const graph::Graph* g_;
   DataPlane dp_;
   Executor exec_;
 
   ExecutionPolicy policy_;  // as requested at construction
-  bool pipeline_ = false;   // §8 pipelined close armed (multi-shard only)
   bool in_round_ = false;
   std::uint64_t rounds_ = 0;
   std::uint64_t messages_ = 0;

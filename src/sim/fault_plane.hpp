@@ -3,7 +3,7 @@
 // The paper's model (§2.1) assumes perfectly reliable synchronous rounds; the
 // transport the engine is growing toward (ROADMAP: shared-memory rings, then
 // sockets) does not. This plane lets any workload run under a reproducible
-// fault model TODAY, so the algorithm stack and the close pipeline are
+// fault model TODAY, so the algorithm stack and the round close are
 // chaos-tested before a real network ever gets to misbehave.
 //
 // Every fault decision is derived from a counter-based hash of
@@ -14,7 +14,7 @@
 // round. No RNG state advances, no ordering is consumed: the verdict for a
 // message is a pure function of the policy seed and values every execution
 // policy agrees on. A fixed FaultPolicy therefore produces BIT-IDENTICAL
-// delivery traces across {1} ∪ {2,4} × {barriered, pipelined}
+// delivery traces across {1, 2, 4} threads × {inproc, shm}
 // (pinned by tests/engine_fault_test.cpp) — the engine's central determinism
 // invariant survives the chaos plane by construction.
 //

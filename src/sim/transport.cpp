@@ -87,8 +87,8 @@ void ShmRingTransport::publish(int s, int d, int count) {
   if (s == d) return;  // loopback: the merge reads staging directly
   SpscRing& r = rings_[static_cast<std::size_t>(d) * num_shards_ + s];
   if (!r.attached()) {
-    // Zero-capacity links carry no ring and are never sealed (§8: no
-    // dependency edge), so a publish here is a protocol violation.
+    // Zero-capacity links carry no ring and are skipped by the publish pass,
+    // so a publish here is a protocol violation.
     PW_CHECK_MSG(false, "publish on the zero-capacity link (%d -> %d)", s, d);
   }
   // The frame's records were staged in place; publishing is the count store
@@ -104,13 +104,13 @@ void ShmRingTransport::drain(int s, int d, int count) {
                              "(%d -> %d)", s, d);
     return;
   }
-  // In-engine drains never block: the §8 seal machinery ordered the publish
-  // before this merge ran. A missing or short frame is a protocol bug, not a
+  // In-engine drains never block: the publish pass ran before this merge's
+  // dispatch. A missing or short frame is a protocol bug, not a
   // wait. The frame stays in the ring — the merge reads it in place — and is
   // retired only after the commit pass copied it out.
   PW_CHECK_MSG(r.frame_ready(),
                "merge drained link (%d -> %d) before its frame published "
-               "(§10 seal/publish mapping broken)",
+               "(§10 publish-before-merge order broken)",
                s, d);
   PW_CHECK_MSG(r.frame_count() == count,
                "link (%d -> %d) frame carries %d records, cursor says %d",
@@ -134,8 +134,8 @@ void ShmRingTransport::watchdog_dump() const {
       if (!r.attached()) continue;
       const std::uint64_t pub = r.pub_seq();
       const std::uint64_t cons = r.cons_seq();
-      // pub == cons: the link is idle — if its consumer is parked, the
-      // producer died (or withheld its seal) before publishing this round's
+      // pub == cons: the link is idle — if the round cannot close, the
+      // producer died (or never returned) before publishing this round's
       // frame. pub == cons + 1: a frame is in flight awaiting drain.
       std::fprintf(stderr,
                    "PW_WATCHDOG: ring (%d -> %d): capacity %d published "

@@ -1,12 +1,12 @@
 // Transport layer of the sharded data plane (DESIGN.md §10).
 //
-// The bucket layout of §8 — (sender shard, destination shard) staging buckets
-// with exact arc-count capacities, sealed when their sender's sweep ends,
+// The bucket layout of §7 — (sender shard, destination shard) staging buckets
+// with exact arc-count capacities, final when the callback dispatch returns,
 // consumed by the ascending-sender merge — is a network message schedule in
 // everything but name. This header makes that literal: every bucket the data
 // plane stages into or merges from is a per-bucket VIEW owned by a Transport,
-// and the seal of bucket (s → d) doubles as the publish of that bucket's
-// frame on the transport's (s → d) link.
+// and the round close publishes bucket (s → d)'s frame on the transport's
+// (s → d) link before the merges dispatch.
 //
 // The wire format IS the staging format. A frame is the bucket's SoA pair —
 // the Incoming payload run followed by the receiver-id run — laid out in the
@@ -26,15 +26,15 @@
 //   * ShmRingTransport — one SPSC ring per nonzero-capacity (s → d) shard
 //     pair, s ≠ d, living in a single MAP_SHARED memory segment. The bucket
 //     view for a cross-shard link points INTO the ring's frame region, so
-//     staged bytes are wire bytes; a seal publishes the frame (release bump
+//     staged bytes are wire bytes; the close publishes the frame (release bump
 //     of the ring's publish index) and the destination's merge reads it in
 //     place, retiring the frame only after the commit pass took its copy.
 //     Self buckets (d → d) never cross a shard boundary: their views alias
 //     the staging arena exactly like the in-proc transport (the loopback
-//     link carries no ring and no copy). Because the §8 dependency machinery
-//     already guarantees publish-happens-before-drain, the in-engine drain is
-//     non-blocking: ring indices are ASSERTED, not waited on, so both
-//     close modes and the §9 fault choke point run unchanged on top of
+//     link carries no ring and no copy). Because the merge dispatch starts
+//     after the publish pass (publish-happens-before-drain), the in-engine
+//     drain is non-blocking: ring indices are ASSERTED, not waited on, so
+//     the round close and the §9 fault choke point run unchanged on top of
 //     rings. The segment really is shared memory (MAP_SHARED |
 //     MAP_ANONYMOUS): a child forked after construction sees the same rings
 //     at the same addresses, which is exactly how tools/partwise_shard runs
@@ -211,9 +211,9 @@ struct BucketView {
 // The seam the data plane talks through. bucket(s, d) is queried once at
 // data-plane construction (the views are stable for the transport's
 // lifetime); per round and per bucket the calls are:
-//   publish(s, d, count) — bucket (s → d) is final; called at its §8 seal
-//                          (or in a pre-merge pass under the barriered
-//                          close) on the thread that owns sender shard s.
+//   publish(s, d, count) — bucket (s → d) is final; called in the round
+//                          close's pre-merge pass, on the caller thread,
+//                          after the callback dispatch returned.
 //   drain(s, d, count)   — called by destination d's merge task before its
 //                          first read of the bucket; purely an assertion
 //                          that the frame is visible and carries `count`
@@ -239,8 +239,8 @@ class Transport {
 
 // The identity transport: staged bytes are received bytes. Every bucket view
 // aliases the staging arena at the bucket's prefix-sum offset, and publish /
-// drain / retire are no-ops — the §8 dependency machinery alone orders
-// writer and reader, which is the pre-§10 engine bit for bit.
+// drain / retire are no-ops — the dispatch barriers alone order writer and
+// reader, which is the pre-§10 engine bit for bit.
 class InProcTransport final : public Transport {
  public:
   // `bucket_base` is the data plane's (d * S + s)-indexed prefix-sum table,

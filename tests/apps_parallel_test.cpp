@@ -1,12 +1,11 @@
-// Full-matrix policy invariance for every paper workload (DESIGN.md §7/§8).
+// Full-matrix policy invariance for every paper workload (DESIGN.md §7).
 //
 // The §7 contract promises that ExecutionPolicy is invisible above the
 // accounting layer: results, delivery, and round/message totals are pure
-// functions of (graph, algorithm, seed), never of the thread count or the
-// round-close mode. The engine suites pin that for raw round loops;
-// this suite pins it END TO END for the algorithm stack — every Corollary
-// 1.3–1.7 / Appendix-A workload runs at {1} ∪ {2,4} × {barriered, pipelined}
-// and must reproduce the 1-thread run bit for bit: the full result vectors
+// functions of (graph, algorithm, seed), never of the thread count. The
+// engine suites pin that for raw round loops; this suite pins it END TO END
+// for the algorithm stack — every Corollary 1.3–1.7 / Appendix-A workload
+// runs at {1, 2, 4} threads and must reproduce the 1-thread run bit for bit: the full result vectors
 // (weights, distances, labels, verdicts, dominator sets), not just hashes,
 // plus the exact rounds() / messages() deltas.
 //

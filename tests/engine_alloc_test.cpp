@@ -59,10 +59,7 @@ TEST(EngineAlloc, DenseSteadyStateRoundLoopAllocatesNothing) {
 // The sharded plane preserves the contract: per-shard wake lists, staging
 // buckets, and the worker pool are all sized at construction, and a futex
 // dispatch allocates nothing. (Thread spawn happens in the ctor, before the
-// counted window.) Every parallel policy of the shared matrix is covered:
-// the pipelined two-stage dispatch (DESIGN.md §8) reuses dependency counters
-// and per-task publish states sized at construction, so it must be as
-// allocation-free as the barriered one.
+// counted window.) Every parallel policy of the shared matrix is covered.
 TEST(EngineAlloc, ShardedSteadyStateRoundLoopAllocatesNothing) {
   Rng rng(1);
   const auto g = graph::gen::random_connected(2048, 6144, rng);

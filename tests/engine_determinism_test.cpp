@@ -18,6 +18,7 @@
 #include "src/apps/mst.hpp"
 #include "src/core/noleader.hpp"
 #include "tests/policy_matrix.hpp"
+#include "tests/trace_recorder.hpp"
 
 namespace pw::bench {
 namespace {
@@ -67,15 +68,9 @@ std::vector<Instance> instances() {
 }
 
 // Every case runs under every entry of the shared policy matrix — the
-// sequential engine and the sharded one at {2,4} threads, with the
-// end-of-round merge barriered (DESIGN.md §7) or pipelined into the callback
-// phase (§8): parallelism lives below the accounting layer, so every policy
-// must reproduce the goldens bit-for-bit.
-
-// The manual-round-loop traces below always close rounds through the
-// barriered end_round() (the pipelined overlap only applies to run(), §8),
-// so they sweep thread counts alone.
-constexpr int kThreadCounts[] = {1, 2, 4};
+// sequential engine and the sharded one at {2,4} threads (DESIGN.md §7):
+// parallelism lives below the accounting layer, so every policy must
+// reproduce the goldens bit-for-bit.
 
 sim::PhaseStats run_bfs(const Instance& inst, sim::ExecutionPolicy policy) {
   sim::Engine eng(inst.g, policy);
@@ -142,8 +137,8 @@ TEST(EngineDeterminism, GoldenCountsPerFamilyAtEveryThreadCount) {
 TEST(EngineDeterminism, GoldenActiveOrderTrace) {
   Rng rng(43);
   const auto inst = general_instance(512, rng);
-  for (const int threads : kThreadCounts) {
-    sim::Engine eng(inst.g, sim::ExecutionPolicy{threads});
+  for (const auto policy : sim::kPolicies) {
+    sim::Engine eng(inst.g, policy);
     std::vector<char> seen(static_cast<std::size_t>(inst.g.n()), 0);
     seen[0] = 1;
     eng.wake(0);
@@ -166,9 +161,9 @@ TEST(EngineDeterminism, GoldenActiveOrderTrace) {
       eng.end_round();
       mix(0xffffffffffffffffULL);  // round separator
     }
-    if (threads == 1)
+    if (policy.num_threads == 1)
       std::printf("GOLDEN trace hash = 0x%" PRIx64 "\n", hash);
-    EXPECT_EQ(hash, 0x9a74ccc4f5e6c116ULL) << "threads=" << threads;
+    EXPECT_EQ(hash, 0x9a74ccc4f5e6c116ULL) << sim::policy_name(policy);
   }
 }
 
@@ -181,22 +176,16 @@ TEST(EngineDeterminism, GoldenDeliveryTraceIdenticalAcrossThreadCounts) {
   Rng rng(43);
   const auto inst = general_instance(512, rng);
 
-  auto delivery_trace = [&](int threads) {
-    sim::Engine eng(inst.g, sim::ExecutionPolicy{threads});
-    std::vector<std::uint64_t> trace;
+  auto delivery_trace = [&](sim::ExecutionPolicy policy) {
+    sim::Engine eng(inst.g, policy);
+    sim::TraceRecorder trace(inst.g.n());
     std::vector<char> seen(static_cast<std::size_t>(inst.g.n()), 0);
     seen[0] = 1;
     eng.wake(0);
     while (!eng.idle()) {
       eng.begin_round();
       for (const int v : eng.active_nodes()) {
-        trace.push_back(static_cast<std::uint64_t>(v) << 32 | 0xa0a0a0a0u);
-        for (const auto& in : eng.inbox(v)) {
-          trace.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                          static_cast<std::uint32_t>(in.port));
-          trace.push_back(in.msg.tag);
-          trace.push_back(in.msg.a);
-        }
+        trace.record(eng, v);
         bool fresh = v == 0 && eng.inbox(v).empty();
         if (!seen[v]) {
           seen[v] = 1;
@@ -208,15 +197,16 @@ TEST(EngineDeterminism, GoldenDeliveryTraceIdenticalAcrossThreadCounts) {
                    sim::Msg{7, static_cast<std::uint64_t>(v), 0, 0});
       }
       eng.end_round();
-      trace.push_back(~0ULL);  // round separator
     }
+    trace.note_totals(eng);
     return trace;
   };
 
-  const auto t1 = delivery_trace(1);
-  ASSERT_FALSE(t1.empty());
-  EXPECT_EQ(t1, delivery_trace(2));
-  EXPECT_EQ(t1, delivery_trace(4));
+  const auto reference = delivery_trace(sim::kPolicies[0]);
+  ASSERT_FALSE(reference.events().empty());
+  for (const auto policy : sim::kPolicies)
+    EXPECT_TRUE(sim::SameTrace(reference, delivery_trace(policy),
+                               sim::policy_name(policy)));
 }
 
 }  // namespace

@@ -1,30 +1,33 @@
-// The deterministic fault plane and the pipelined-close watchdog
-// (DESIGN.md §9).
+// The deterministic fault plane and the executor watchdog (DESIGN.md §9).
 //
 // The fault plane turns the engine into a chaos harness: messages are
 // dropped, delayed, and duplicated by a counter-based hash of
 // (seed, round, receiver-side arc), nodes crash and reboot on a fixed
 // schedule. Because every verdict is a pure function of that triple, a fixed
 // seed must produce BIT-IDENTICAL delivery traces across every execution
-// policy — {1} ∪ {2,4} × {barriered, pipelined}, each over both
-// transports — including under the forced round-id / wake-epoch wraps.
-// These tests pin that, the exact drop/delay/dup/crash semantics on tiny
-// graphs where the schedule can be computed by hand, the ARQ workload's
-// completion guarantee under chaos, and the §9 watchdog: a forcibly withheld bucket seal must abort the wedged
-// close with a dependency-counter dump instead of hanging forever.
+// policy — {1, 2, 4} threads, the sharded ones over both transports —
+// including under the forced round-id / wake-epoch wraps. These tests pin
+// that, the exact drop/delay/dup/crash semantics on tiny graphs where the
+// schedule can be computed by hand, the ARQ workload's completion guarantee
+// under chaos, and the §9 watchdog: a callback that never returns must
+// abort the wedged round with a per-thread, per-bucket, and per-ring dump
+// instead of hanging forever.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/apps/arq.hpp"
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
 #include "tests/policy_matrix.hpp"
+#include "tests/trace_recorder.hpp"
 
 namespace pw::sim {
 namespace {
@@ -34,26 +37,19 @@ using graph::Graph;
 // The default 60 s watchdog stays armed in the shared policy matrix, so
 // every parallel test here doubles as "an armed watchdog never fires on a
 // live engine". The exact-semantics tests below run on the sequential engine.
-constexpr ExecutionPolicy kSequential{.num_threads = 1, .pipeline = false};
+constexpr ExecutionPolicy kSequential{.num_threads = 1};
 
-// Full per-node observation trace of a faulty run: every (activation, from,
-// port, payload) tuple each callback sees, in order, plus the engine totals
-// AND the fault accounting — so trace equality across policies pins the
-// fault plane's verdicts, the delayed-delivery order, and the counters all
-// at once.
+// Full delivery trace of a faulty run, plus the engine totals AND the fault
+// accounting — so trace equality across policies pins the fault plane's
+// verdicts, the delayed-delivery order, and the counters all at once.
 template <class Drive>
-std::vector<std::vector<std::uint64_t>> fault_trace_of(
-    const Graph& g, ExecutionPolicy policy, const FaultPolicy& faults,
-    Drive&& drive) {
+TraceRecorder fault_trace_of(const Graph& g, ExecutionPolicy policy,
+                             const FaultPolicy& faults, Drive&& drive) {
   Engine eng(g, policy, faults);
-  std::vector<std::vector<std::uint64_t>> trace(
-      static_cast<std::size_t>(g.n()));
+  TraceRecorder trace(g.n());
   drive(eng, trace);
-  const FaultStats fs = eng.fault_stats();
-  trace.push_back({eng.rounds(), eng.messages()});
-  trace.push_back({fs.messages_dropped, fs.messages_delayed,
-                   fs.messages_duplicated, fs.messages_shed_crashed,
-                   fs.wakes_suppressed});
+  trace.note_totals(eng);
+  trace.note_faults(eng.fault_stats());
   return trace;
 }
 
@@ -64,32 +60,26 @@ void expect_fault_trace_equal_across_policies(const Graph& g,
   const auto reference = fault_trace_of(g, kPolicies[0], faults, drive);
   for (auto policy : kPolicies) {
     if (policy.num_threads == 1) continue;
-    EXPECT_EQ(reference, fault_trace_of(g, policy, faults, drive))
-        << policy_name(policy);
+    EXPECT_TRUE(SameTrace(reference, fault_trace_of(g, policy, faults, drive),
+                          policy_name(policy)));
     // The §9 verdicts apply at the merge's receive views, so swapping the
     // §10 transport under the same policy must not move a single fate.
     policy.transport = TransportKind::kShmRing;
-    EXPECT_EQ(reference, fault_trace_of(g, policy, faults, drive))
-        << policy_name(policy);
+    EXPECT_TRUE(SameTrace(reference, fault_trace_of(g, policy, faults, drive),
+                          policy_name(policy)));
   }
 }
 
 // Flood driver: every node forwards on all ports the first time it is
 // reached; callbacks record their whole inbox. Under lossy policies some
 // nodes may never be reached — the trace records exactly who was.
-void flood_drive(Engine& eng, std::vector<std::vector<std::uint64_t>>& trace) {
+void flood_drive(Engine& eng, TraceRecorder& trace) {
   const auto& g = eng.graph();
   std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
   seen[0] = 1;
   eng.wake(0);
   eng.run([&](int v) {
-    auto& t = trace[static_cast<std::size_t>(v)];
-    t.push_back(0xa0a0a0a0ULL);
-    for (const auto& in : eng.inbox(v)) {
-      t.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                  static_cast<std::uint32_t>(in.port));
-      t.push_back(in.msg.a);
-    }
+    trace.record(eng, v);
     bool fresh = v == 0 && eng.inbox(v).empty();
     if (!seen[static_cast<std::size_t>(v)]) {
       seen[static_cast<std::size_t>(v)] = 1;
@@ -108,18 +98,12 @@ void flood_drive(Engine& eng, std::vector<std::vector<std::uint64_t>>& trace) {
 constexpr int kChatterRounds = 6;
 
 void chatter_drive(Engine& eng,
-                   std::vector<std::vector<std::uint64_t>>& trace) {
+                   TraceRecorder& trace) {
   const auto& g = eng.graph();
   std::vector<int> left(static_cast<std::size_t>(g.n()), kChatterRounds);
   for (int v = 0; v < g.n(); ++v) eng.wake(v);
   eng.run([&](int v) {
-    auto& t = trace[static_cast<std::size_t>(v)];
-    t.push_back(0xb0b0b0b0ULL);
-    for (const auto& in : eng.inbox(v)) {
-      t.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                  static_cast<std::uint32_t>(in.port));
-      t.push_back(in.msg.a);
-    }
+    trace.record(eng, v);
     int& r = left[static_cast<std::size_t>(v)];
     if (r <= 0) return;
     --r;
@@ -176,7 +160,7 @@ TEST(FaultTrace, IdenticalUnderForcedWraps) {
   // stamp wrap and the wake-epoch wrap then happen mid-chatter, and the
   // fault plane's own 64-bit round clock must sail through both.
   const auto wrap_drive = [&](Engine& eng,
-                              std::vector<std::vector<std::uint64_t>>& trace) {
+                              TraceRecorder& trace) {
     eng.debug_set_wrap_state(std::numeric_limits<std::uint32_t>::max() - 2,
                              (1ULL << 40) - 2);
     chatter_drive(eng, trace);
@@ -184,14 +168,13 @@ TEST(FaultTrace, IdenticalUnderForcedWraps) {
   expect_fault_trace_equal_across_policies(g, faults, wrap_drive);
 }
 
-// The merge is the fault plane's single choke point, and under the pipelined
-// close destination merges run while other shards still sweep, so each
-// per-destination delay queue fills concurrently with unrelated callbacks.
-// Seven fault configurations spanning every verdict type — and their
-// compositions — must produce bit-identical traces AND fault counters under
-// the pipelined close at {2,4} threads, on both transports, vs the
-// sequential reference.
-TEST(FaultTrace, SevenFaultConfigsIdenticalUnderPipelinedClose) {
+// The merge is the fault plane's single choke point, and the per-destination
+// merges run in parallel, so each per-destination delay queue fills
+// concurrently with the other destinations'. Seven fault configurations
+// spanning every verdict type — and their compositions — must produce
+// bit-identical traces AND fault counters at {2,4} threads, on both
+// transports, vs the sequential reference.
+TEST(FaultTrace, SevenFaultConfigsIdenticalAcrossPolicies) {
   const Graph g = graph::gen::grid(8, 8);
   std::vector<FaultPolicy> configs(7);
   for (std::size_t i = 0; i < configs.size(); ++i)
@@ -217,12 +200,15 @@ TEST(FaultTrace, SevenFaultConfigsIdenticalUnderPipelinedClose) {
     const auto reference =
         fault_trace_of(g, kPolicies[0], configs[i], chatter_drive);
     for (auto policy : kPolicies) {
-      if (policy.num_threads == 1 || !policy.pipeline) continue;
-      EXPECT_EQ(reference, fault_trace_of(g, policy, configs[i], chatter_drive))
-          << "config " << i << " " << policy_name(policy);
+      if (policy.num_threads == 1) continue;
+      const std::string label = "config " + std::to_string(i) + " ";
+      EXPECT_TRUE(SameTrace(reference,
+                            fault_trace_of(g, policy, configs[i], chatter_drive),
+                            label + policy_name(policy)));
       policy.transport = TransportKind::kShmRing;
-      EXPECT_EQ(reference, fault_trace_of(g, policy, configs[i], chatter_drive))
-          << "config " << i << " " << policy_name(policy);
+      EXPECT_TRUE(SameTrace(reference,
+                            fault_trace_of(g, policy, configs[i], chatter_drive),
+                            label + policy_name(policy)));
     }
   }
 }
@@ -234,10 +220,10 @@ TEST(FaultTrace, SameSeedReproducesDifferentSeedDiverges) {
   faults.drop_prob = 0.5;
   const auto a = fault_trace_of(g, kPolicies[0], faults, flood_drive);
   const auto b = fault_trace_of(g, kPolicies[0], faults, flood_drive);
-  EXPECT_EQ(a, b);
+  EXPECT_TRUE(SameTrace(a, b, "same seed"));
   faults.seed = 1235;
   const auto c = fault_trace_of(g, kPolicies[0], faults, flood_drive);
-  EXPECT_NE(a, c);
+  EXPECT_FALSE(SameTrace(a, c, "other seed"));
 }
 
 // --- exact single-fault semantics ------------------------------------------
@@ -488,8 +474,7 @@ TEST(Watchdog, ArmedRunCompletes) {
     ExecutionPolicy policy = base;
     policy.watchdog_ms = 200;
     Engine eng(g, policy);
-    std::vector<std::vector<std::uint64_t>> trace(
-        static_cast<std::size_t>(g.n()));
+    TraceRecorder trace(g.n());
     chatter_drive(eng, trace);
     EXPECT_GT(eng.rounds(), 0u) << policy_name(policy);
   }
@@ -503,27 +488,37 @@ TEST(Watchdog, ArmedRunCompletes) {
 #endif
 #endif
 
-// Forcibly withhold one bucket seal: the pipelined close wedges, and the
-// watchdog must abort with the dependency-counter dump ("deps_left" is
-// printed only by the §9 diagnostics) instead of hanging.
-[[maybe_unused]] void run_with_withheld_seal(const Graph& g) {
-  const ExecutionPolicy policy{
-      .num_threads = 4, .pipeline = true, .watchdog_ms = 1000};
+// A callback that never returns wedges its round: thread 0 finishes its own
+// shard and parks in the watched dispatch-barrier wait, the progress
+// signature freezes, and the watchdog must abort with its dump instead of
+// hanging. The stuck node lives in shard 1, so the thread parked in the
+// watched wait is thread 0 and the dump shows thread 1 mid-sweep. Under the
+// shm transport the dump ends with the per-ring liveness lines: no frame of
+// the wedged round was published, so the rings read "awaiting publish".
+[[maybe_unused]] void run_with_wedged_callback(const Graph& g) {
+  const ExecutionPolicy policy{.num_threads = 4,
+                               .watchdog_ms = 1000,
+                               .transport = TransportKind::kShmRing};
   Engine eng(g, policy);
-  eng.debug_withhold_seal(1, 0);
-  std::vector<std::vector<std::uint64_t>> trace(
-      static_cast<std::size_t>(g.n()));
-  chatter_drive(eng, trace);
+  for (int v = 0; v < g.n(); ++v) eng.wake(v);
+  eng.run([&](int v) {
+    if (v == 20)  // shard 1 of grid(8, 8) under 4 shards: nodes 16..31
+      for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
+    for (int p = 0; p < g.degree(v); ++p) eng.send(v, p, Msg{1, 1, 0, 0});
+  });
 }
 
-TEST(Watchdog, WithheldSealAbortsWithDiagnostics) {
+TEST(Watchdog, WedgedCallbackAbortsWithDiagnostics) {
 #ifdef PW_UNDER_TSAN
   GTEST_SKIP() << "death test forks after threads exist; the watchdog dump "
                   "intentionally reads racing counters TSan would flag";
 #else
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   const Graph g = graph::gen::grid(8, 8);
-  EXPECT_DEATH(run_with_withheld_seal(g), "deps_left");
+  EXPECT_DEATH(run_with_wedged_callback(g),
+               "PW_WATCHDOG: no executor progress.*thread 0 wedged in "
+               "barrier-wait.*thread 1: phase=stage1-sweep task=1.*"
+               "ring \\(1 -> 0\\).*stalled: awaiting publish");
 #endif
 }
 

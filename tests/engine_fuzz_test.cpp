@@ -5,11 +5,10 @@
 // graph (family × size) and a random callback program (which ports each
 // activation sends on, payloads, self-wakes, and a mid-run drain segment),
 // then replays the identical program on the sequential engine and on every
-// parallel configuration: {2,4} threads × {barriered, pipelined} ×
-// {in-proc, shm-ring transport}, plus a fault-policy sample of the whole
-// matrix. Every replay must produce a bit-identical full
-// observation trace (per-node inbox tuples in order, totals, fault
-// counters).
+// parallel configuration: {2,4} threads × {in-proc, shm-ring transport},
+// plus a fault-policy sample of the whole matrix. Every replay must produce
+// a bit-identical full observation trace (per-node inbox entries in order,
+// totals, fault counters).
 //
 // Every failure message carries the iteration seed. Reproduce a CI failure
 // locally with:
@@ -27,6 +26,7 @@
 #include "src/sim/engine.hpp"
 #include "src/util/rng.hpp"
 #include "tests/policy_matrix.hpp"
+#include "tests/trace_recorder.hpp"
 
 namespace pw::sim {
 namespace {
@@ -89,27 +89,18 @@ Graph make_graph(std::uint64_t seed) {
 //     quiescence.
 // Activation budgets make quiescence unconditional: nothing sends past its
 // budget, so traffic is finite in every segment.
-std::vector<std::vector<std::uint64_t>> fuzz_trace(
-    const Graph& g, std::uint64_t seed, ExecutionPolicy policy,
-    const FaultPolicy& faults) {
+TraceRecorder fuzz_trace(const Graph& g, std::uint64_t seed,
+                         ExecutionPolicy policy, const FaultPolicy& faults) {
   Engine eng(g, policy, faults);
   const int n = g.n();
-  std::vector<std::vector<std::uint64_t>> trace(static_cast<std::size_t>(n));
+  TraceRecorder trace(n);
   std::vector<int> budget(static_cast<std::size_t>(n),
                           2 + static_cast<int>(h2(seed, 5) % 3));
 
   const auto callback = [&](int v) {
-    auto& t = trace[static_cast<std::size_t>(v)];
-    t.push_back(0xfeedULL << 32 |
-                static_cast<std::uint64_t>(t.size()));  // activation marker
+    trace.record(eng, v);
     std::uint64_t digest = h2(seed, 0xabcd0000ULL + static_cast<unsigned>(v));
-    for (const auto& in : eng.inbox(v)) {
-      t.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                  static_cast<std::uint32_t>(in.port));
-      t.push_back(in.msg.tag);
-      t.push_back(in.msg.a);
-      digest = h2(digest, in.msg.a);
-    }
+    for (const auto& in : eng.inbox(v)) digest = h2(digest, in.msg.a);
     int& b = budget[static_cast<std::size_t>(v)];
     if (b <= 0) return;
     --b;
@@ -137,11 +128,8 @@ std::vector<std::vector<std::uint64_t>> fuzz_trace(
   eng.run(callback);
   EXPECT_TRUE(eng.idle());
 
-  const FaultStats fs = eng.fault_stats();
-  trace.push_back({eng.rounds(), eng.messages()});
-  trace.push_back({fs.messages_dropped, fs.messages_delayed,
-                   fs.messages_duplicated, fs.messages_shed_crashed,
-                   fs.wakes_suppressed});
+  trace.note_totals(eng);
+  trace.note_faults(eng.fault_stats());
   return trace;
 }
 
@@ -182,24 +170,27 @@ TEST(EngineFuzz, TraceIdenticalAcrossFullConfigMatrix) {
     for (std::size_t f = 0; f < faults.size(); ++f) {
       const auto reference =
           fuzz_trace(g, seed, kPolicies[0], faults[f]);
-      total_messages += reference[reference.size() - 2][1];
+      total_messages += reference.noted("messages");
+      const std::string where = " fault-config " + std::to_string(f) +
+                                " n=" + std::to_string(g.n());
       for (ExecutionPolicy policy : kPolicies) {
         if (policy.num_threads == 1) continue;
-        EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
-            << policy_name(policy) << " fault-config " << f << " n=" << g.n();
+        EXPECT_TRUE(SameTrace(reference, fuzz_trace(g, seed, policy, faults[f]),
+                              policy_name(policy) + where));
         policy.transport = TransportKind::kShmRing;
-        EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
-            << policy_name(policy) << " fault-config " << f << " n=" << g.n();
-        // Extra soak on the deepest configuration — 4-thread pipelined over
-        // the in-place shm wire path stacks every protocol (overlapped
-        // merges, frame publish/retire, merge claims), so it gets
-        // PW_FUZZ_SOAK_REPS more replays than the rest of the matrix.
-        if (policy.num_threads == 4 && policy.pipeline) {
+        EXPECT_TRUE(SameTrace(reference, fuzz_trace(g, seed, policy, faults[f]),
+                              policy_name(policy) + where));
+        // Extra soak on the deepest configuration — 4 threads over the
+        // in-place shm wire path stacks every protocol (parallel merges,
+        // frame publish/retire), so it gets PW_FUZZ_SOAK_REPS more replays
+        // than the rest of the matrix.
+        if (policy.num_threads == 4) {
           const std::uint64_t reps = env_u64("PW_FUZZ_SOAK_REPS", 2);
           for (std::uint64_t r = 0; r < reps; ++r)
-            EXPECT_EQ(reference, fuzz_trace(g, seed, policy, faults[f]))
-                << policy_name(policy) << " soak rep " << r
-                << " fault-config " << f << " n=" << g.n();
+            EXPECT_TRUE(SameTrace(
+                reference, fuzz_trace(g, seed, policy, faults[f]),
+                policy_name(policy) + " soak rep " + std::to_string(r) +
+                    where));
         }
       }
     }

@@ -3,7 +3,8 @@
 // same drain hygiene, fan-in delivery, self-rewake scheduling, and phase
 // reuse, with shard boundaries crossing right through the traffic patterns.
 // Cross-thread-count count/trace equality is pinned by
-// engine_determinism_test; this file covers the stateful corners.
+// engine_determinism_test; this file covers the stateful corners and the
+// checked §7 contract violations.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,13 +19,7 @@ namespace {
 
 using graph::Graph;
 
-// Manual-round-loop tests close rounds through the barriered merge whatever
-// the flag says; run()-based tests below sweep both close modes explicitly
-// (the pipelined close has its own suite, engine_pipeline_test.cpp).
-constexpr ExecutionPolicy kSharded{.num_threads = 4, .pipeline = false};
-constexpr ExecutionPolicy kClosePolicies[] = {
-    {.num_threads = 4, .pipeline = false},
-    {.num_threads = 4, .pipeline = true}};
+constexpr ExecutionPolicy kSharded{.num_threads = 4};
 
 // Mirror of EngineStress.DrainDiscardsInFlightTrafficWithoutCorruptingLaterRounds
 // with the data plane split into 4 shards: drain() must discard delivered-but-
@@ -109,19 +104,17 @@ TEST(EngineParallel, MaxFanInAcrossShards) {
 // contract allows there), with the rewaking nodes spread over all shards.
 TEST(EngineParallel, SelfRewakeInParallelCallbacks) {
   Graph g = graph::gen::path(64);
-  for (const auto policy : kClosePolicies) {
-    Engine eng(g, policy);
-    const int probes[] = {0, 17, 33, 63};  // one per shard
-    std::array<std::atomic<int>, 64> activations{};
-    for (int v : probes) eng.wake(v);
-    eng.run([&](int v) {
-      const int k = activations[static_cast<std::size_t>(v)].fetch_add(1) + 1;
-      if (k < 5) eng.wake(v);  // self-rewake
-    });
-    for (int v : probes)
-      EXPECT_EQ(activations[static_cast<std::size_t>(v)].load(), 5) << v;
-    EXPECT_EQ(eng.rounds(), 5u);
-  }
+  Engine eng(g, kSharded);
+  const int probes[] = {0, 17, 33, 63};  // one per shard
+  std::array<std::atomic<int>, 64> activations{};
+  for (int v : probes) eng.wake(v);
+  eng.run([&](int v) {
+    const int k = activations[static_cast<std::size_t>(v)].fetch_add(1) + 1;
+    if (k < 5) eng.wake(v);  // self-rewake
+  });
+  for (int v : probes)
+    EXPECT_EQ(activations[static_cast<std::size_t>(v)].load(), 5) << v;
+  EXPECT_EQ(eng.rounds(), 5u);
 }
 
 // Repeated flood phases on one sharded engine must behave identically —
@@ -129,33 +122,31 @@ TEST(EngineParallel, SelfRewakeInParallelCallbacks) {
 TEST(EngineParallel, PhasesReuseCleanlyUnderShards) {
   Rng rng(5);
   Graph g = graph::gen::random_connected(200, 500, rng);
-  for (const auto policy : kClosePolicies) {
-    Engine eng(g, policy);
-    std::uint64_t first_phase_msgs = 0;
-    for (int phase = 0; phase < 5; ++phase) {
-      const auto snap = eng.snap();
-      std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
-      seen[static_cast<std::size_t>(phase)] = 1;
-      eng.wake(phase);
-      eng.run([&](int v) {
-        bool fresh = v == phase && eng.inbox(v).empty();
-        if (!seen[static_cast<std::size_t>(v)]) {
-          seen[static_cast<std::size_t>(v)] = 1;
-          fresh = true;
-        }
-        if (!fresh) return;
-        for (int p = 0; p < g.degree(v); ++p) eng.send(v, p, Msg{});
-      });
-      for (int v = 0; v < g.n(); ++v)
-        EXPECT_TRUE(seen[static_cast<std::size_t>(v)]);
-      const auto stats = eng.since(snap);
-      if (phase == 0) {
-        first_phase_msgs = stats.messages;
-      } else {
-        EXPECT_EQ(stats.messages, first_phase_msgs) << "phase " << phase;
+  Engine eng(g, kSharded);
+  std::uint64_t first_phase_msgs = 0;
+  for (int phase = 0; phase < 5; ++phase) {
+    const auto snap = eng.snap();
+    std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
+    seen[static_cast<std::size_t>(phase)] = 1;
+    eng.wake(phase);
+    eng.run([&](int v) {
+      bool fresh = v == phase && eng.inbox(v).empty();
+      if (!seen[static_cast<std::size_t>(v)]) {
+        seen[static_cast<std::size_t>(v)] = 1;
+        fresh = true;
       }
-      EXPECT_TRUE(eng.idle());
+      if (!fresh) return;
+      for (int p = 0; p < g.degree(v); ++p) eng.send(v, p, Msg{});
+    });
+    for (int v = 0; v < g.n(); ++v)
+      EXPECT_TRUE(seen[static_cast<std::size_t>(v)]);
+    const auto stats = eng.since(snap);
+    if (phase == 0) {
+      first_phase_msgs = stats.messages;
+    } else {
+      EXPECT_EQ(stats.messages, first_phase_msgs) << "phase " << phase;
     }
+    EXPECT_TRUE(eng.idle());
   }
 }
 
@@ -230,6 +221,51 @@ TEST(EngineParallelDeath, IdleFromParallelCallbackAborts) {
       "shard-parallel callback");
 }
 
+// The §7 contract checks fire from inside a shard-parallel callback: a
+// cross-shard send aborts. The whole engine lives inside EXPECT_DEATH so the
+// worker pool spawns in the death-test child, not the forking parent.
+TEST(EngineParallelDeath, CrossShardSendFromParallelCallbackAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Graph g = graph::gen::path(64);
+        Engine eng(g, kSharded);
+        eng.wake(40);  // shard 2; its neighbor 39 lives in shard 2 as well,
+                       // but sending AS node 1 (shard 0) is cross-shard
+        eng.run([&](int) { eng.send(1, 0, Msg{}); });
+      },
+      "outside its shard");
+}
+
+// Cross-shard inbox READS abort too: what such a read sees would depend on
+// the thread schedule, not on the model (§7 contract, checked in
+// DataPlane::inbox).
+TEST(EngineParallelDeath, CrossShardInboxReadFromParallelCallbackAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Graph g = graph::gen::path(64);
+        Engine eng(g, kSharded);
+        eng.wake(40);  // shard 2; node 1 lives in shard 0
+        eng.run([&](int) { (void)eng.inbox(1).size(); });
+      },
+      "outside its shard");
+}
+
+// Accounting charges are forbidden inside parallel callbacks: the engine
+// counters are global and unsynchronized (DESIGN.md §7).
+TEST(EngineParallelDeath, ChargeFromParallelCallbackAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Graph g = graph::gen::path(64);
+        Engine eng(g, kSharded);
+        eng.wake(0);
+        eng.run([&](int) { eng.charge_messages(1); });
+      },
+      "shard-parallel callback");
+}
+
 // A policy requesting more threads than the graph has nodes must degrade to
 // one shard per node at most (and still work).
 TEST(EngineParallel, MoreThreadsThanNodes) {
@@ -249,6 +285,21 @@ TEST(EngineParallel, MoreThreadsThanNodes) {
   });
   EXPECT_EQ(deliveries, 1);
   EXPECT_EQ(eng.messages(), 1u);
+}
+
+// A thread request above ExecutionPolicy::kMaxThreads is rejected before the data
+// plane sizes its S² bucket table or the executor spawns a single worker, so
+// the check itself starts no thread. The limit itself is accepted: on a
+// 3-node graph it rounds down to at most 3 shards.
+TEST(EngineParallelDeath, ThreadCountAboveLimitAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Graph g = graph::gen::path(3);
+  EXPECT_DEATH({ Engine eng(g, ExecutionPolicy{ExecutionPolicy::kMaxThreads + 1}); },
+               "exceeds the engine's limit of 1024 threads");
+  EXPECT_DEATH({ Engine eng(g, ExecutionPolicy{100000}); },
+               "num_threads = 100000 exceeds");
+  Engine at_limit(g, ExecutionPolicy{ExecutionPolicy::kMaxThreads});
+  EXPECT_LE(at_limit.num_threads(), 3);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// Pipelined round close (DESIGN.md §8): with ExecutionPolicy::pipeline the
-// callback and merge phases of a round overlap — a destination shard merges
-// as soon as its incoming traffic is complete, while unrelated shards still
-// run callbacks. Everything observable must be BIT-IDENTICAL to both the
-// barriered sharded engine (§7) and the sequential engine: these tests pin
-// that under adversarial fan-in, self-rewake, mid-flight drains, and the
-// checked §7 contract violations, which must still abort while merge-stage
-// tasks are in flight.
+// Engine::run's round close under the sharded engine (DESIGN.md §7): the
+// callback sweep and the end-of-round merge run as two barriered dispatches
+// per round. Everything observable must be BIT-IDENTICAL to the sequential
+// engine: these tests pin that under adversarial fan-in, self-rewake with
+// traffic, and mid-flight drains. The §7 contract death tests live in
+// engine_parallel_test.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,47 +14,29 @@
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
 #include "tests/policy_matrix.hpp"
+#include "tests/trace_recorder.hpp"
 
 namespace pw::sim {
 namespace {
 
 using graph::Graph;
 
-constexpr ExecutionPolicy kPipelined{.num_threads = 4, .pipeline = true};
-constexpr ExecutionPolicy kBarriered{.num_threads = 4, .pipeline = false};
+constexpr ExecutionPolicy kSharded{.num_threads = 4};
 
-TEST(EnginePipeline, PolicySelectsThePipelinedClose) {
-  Graph g = graph::gen::path(64);
-  EXPECT_TRUE(Engine(g, kPipelined).pipelined());
-  EXPECT_FALSE(Engine(g, kBarriered).pipelined());
-  // One shard has no phases to overlap: the flag degrades to sequential.
-  constexpr ExecutionPolicy kOneShard{.num_threads = 1, .pipeline = true};
-  EXPECT_FALSE(Engine(g, kOneShard).pipelined());
-}
-
-// Full per-node delivery traces — every (activation, from, port, payload)
-// tuple a callback observes, in order — must be identical to the sequential
-// engine. Per-node collection is §7-conforming: node v's callback appends
-// only to trace[v].
-TEST(EnginePipeline, PerNodeDeliveryTraceMatchesSequential) {
+// Full delivery traces — every activation and inbox entry a callback
+// observes, in order — must be identical to the sequential engine.
+TEST(EngineRun, PerNodeDeliveryTraceMatchesSequential) {
   Rng rng(11);
   const Graph g = graph::gen::random_connected(512, 1536, rng);
 
   auto trace_with = [&](ExecutionPolicy policy) {
     Engine eng(g, policy);
-    std::vector<std::vector<std::uint64_t>> trace(
-        static_cast<std::size_t>(g.n()));
+    TraceRecorder trace(g.n());
     std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
     seen[0] = 1;
     eng.wake(0);
     eng.run([&](int v) {
-      auto& t = trace[static_cast<std::size_t>(v)];
-      t.push_back(0xa0a0a0a0ULL);  // activation marker
-      for (const auto& in : eng.inbox(v)) {
-        t.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                    static_cast<std::uint32_t>(in.port));
-        t.push_back(in.msg.a);
-      }
+      trace.record(eng, v);
       bool fresh = v == 0 && eng.inbox(v).empty();
       if (!seen[static_cast<std::size_t>(v)]) {
         seen[static_cast<std::size_t>(v)] = 1;
@@ -71,13 +51,13 @@ TEST(EnginePipeline, PerNodeDeliveryTraceMatchesSequential) {
 
   const auto reference = trace_with(kPolicies[0]);
   for (const auto policy : kPolicies)
-    EXPECT_EQ(reference, trace_with(policy)) << policy_name(policy);
+    EXPECT_TRUE(SameTrace(reference, trace_with(policy), policy_name(policy)));
 }
 
-// The hub of a star sits in shard 0 and its merge depends on every other
-// shard's callbacks; the leaves' shards merge with a single-entry dependency
-// column. The hub must still see one intact inbox in ascending sender order.
-TEST(EnginePipeline, AdversarialFanInAcrossShards) {
+// The hub of a star sits in shard 0 and its merge reads a bucket from every
+// other shard; the leaves' shards each receive from shard 0 alone. The hub
+// must still see one intact inbox in ascending sender order.
+TEST(EngineRun, AdversarialFanInAcrossShards) {
   const Graph g = graph::gen::star(64);
   for (const auto policy : kPolicies) {
     Engine eng(g, policy);
@@ -102,11 +82,11 @@ TEST(EnginePipeline, AdversarialFanInAcrossShards) {
   }
 }
 
-// Self-rewake plus neighbor traffic from inside pipelined callbacks: the
+// Self-rewake plus neighbor traffic from inside parallel callbacks: the
 // rewaking nodes span all shards, so every round has both fresh wakes (from
-// callbacks) and merged deliveries (from the overlapped stage) landing in
-// the same wake epoch.
-TEST(EnginePipeline, SelfRewakeWithTrafficAcrossModes) {
+// callbacks) and merged deliveries (from the merge dispatch) landing in the
+// same wake epoch.
+TEST(EngineRun, SelfRewakeWithTrafficAcrossPolicies) {
   const Graph g = graph::gen::path(64);
   auto totals = [&](ExecutionPolicy policy) {
     Engine eng(g, policy);
@@ -131,13 +111,13 @@ TEST(EnginePipeline, SelfRewakeWithTrafficAcrossModes) {
     EXPECT_EQ(reference, totals(policy)) << policy_name(policy);
 }
 
-// drain() between pipelined phases: a budgeted run() exits with poison
-// traffic mid-flight in every shard's buckets-already-merged state; drain
-// must discard all of it and the next phase must see only its own traffic.
-TEST(EnginePipeline, DrainDiscardsMidFlightPipelinedTraffic) {
+// drain() between run() phases: a budgeted run() exits with poison traffic
+// mid-flight in every shard's buckets-already-merged state; drain must
+// discard all of it and the next phase must see only its own traffic.
+TEST(EngineRun, DrainDiscardsMidFlightTraffic) {
   Rng rng(9);
   const Graph g = graph::gen::random_connected(50, 150, rng);
-  Engine eng(g, kPipelined);
+  Engine eng(g, kSharded);
 
   for (int v = 0; v < g.n(); ++v) eng.wake(v);
   eng.run(
@@ -171,109 +151,6 @@ TEST(EnginePipeline, DrainDiscardsMidFlightPipelinedTraffic) {
   });
   EXPECT_EQ(received.load(), g.degree(7));
   EXPECT_TRUE(eng.idle());
-}
-
-// Repeated phases on one pipelined engine: wake lists, bucket cursors, runs,
-// and the dependency counters of the two-stage dispatch must all reset
-// cleanly between rounds and phases.
-TEST(EnginePipeline, PhasesRepeatIdentically) {
-  Rng rng(5);
-  const Graph g = graph::gen::random_connected(200, 500, rng);
-  Engine eng(g, kPipelined);
-  std::uint64_t first_phase_msgs = 0;
-  for (int phase = 0; phase < 5; ++phase) {
-    const auto snap = eng.snap();
-    std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
-    seen[static_cast<std::size_t>(phase)] = 1;
-    eng.wake(phase);
-    eng.run([&](int v) {
-      bool fresh = v == phase && eng.inbox(v).empty();
-      if (!seen[static_cast<std::size_t>(v)]) {
-        seen[static_cast<std::size_t>(v)] = 1;
-        fresh = true;
-      }
-      if (!fresh) return;
-      for (int p = 0; p < g.degree(v); ++p) eng.send(v, p, Msg{});
-    });
-    for (int v = 0; v < g.n(); ++v) EXPECT_TRUE(seen[static_cast<std::size_t>(v)]);
-    const auto stats = eng.since(snap);
-    if (phase == 0) {
-      first_phase_msgs = stats.messages;
-    } else {
-      EXPECT_EQ(stats.messages, first_phase_msgs) << "phase " << phase;
-    }
-    EXPECT_TRUE(eng.idle());
-  }
-}
-
-// Degenerate shard shapes: more threads than nodes still pipelines over the
-// few shards that exist.
-TEST(EnginePipeline, MoreThreadsThanNodes) {
-  const Graph g = graph::gen::path(3);
-  Engine eng(g, ExecutionPolicy{.num_threads = 16, .pipeline = true});
-  eng.wake(0);
-  std::atomic<int> deliveries{0};
-  eng.run([&](int v) {
-    if (v == 0 && eng.inbox(v).empty()) {
-      eng.send(0, 0, Msg{7, 42, 0, 0});
-      return;
-    }
-    for (const auto& in : eng.inbox(v)) {
-      EXPECT_EQ(in.msg.tag, 7);
-      deliveries.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(deliveries.load(), 1);
-  EXPECT_EQ(eng.messages(), 1u);
-}
-
-// The §7 contract checks must keep firing while merge-stage tasks share the
-// dispatch with callbacks: a cross-shard send from a pipelined callback
-// aborts exactly like it does under the barriered dispatch. The whole engine
-// lives inside EXPECT_DEATH so the worker pool spawns in the death-test
-// child, not the forking parent.
-TEST(EnginePipelineDeath, CrossShardSendFromPipelinedCallbackAborts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(
-      {
-        Graph g = graph::gen::path(64);
-        Engine eng(g, kPipelined);
-        eng.wake(40);  // shard 2; its neighbor 39 lives in shard 2 as well,
-                       // but sending AS node 1 (shard 0) is cross-shard
-        eng.run([&](int) { eng.send(1, 0, Msg{}); });
-      },
-      "outside its shard");
-}
-
-// Cross-shard inbox READS abort too: under the pipelined close the other
-// shard's delivery region may already be merging for the next round, so the
-// read that was mere nondeterminism under the barriered close would be a
-// silent data race (§7 contract, checked in DataPlane::inbox).
-TEST(EnginePipelineDeath, CrossShardInboxReadFromPipelinedCallbackAborts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(
-      {
-        Graph g = graph::gen::path(64);
-        Engine eng(g, kPipelined);
-        eng.wake(40);  // shard 2; node 1 lives in shard 0
-        eng.run([&](int) { (void)eng.inbox(1).size(); });
-      },
-      "outside its shard");
-}
-
-// Accounting charges stay forbidden inside pipelined callbacks: the engine
-// counters are global and the merge overlap makes the race window wider, not
-// narrower (DESIGN.md §7).
-TEST(EnginePipelineDeath, ChargeFromPipelinedCallbackAborts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(
-      {
-        Graph g = graph::gen::path(64);
-        Engine eng(g, kPipelined);
-        eng.wake(0);
-        eng.run([&](int) { eng.charge_messages(1); });
-      },
-      "shard-parallel callback");
 }
 
 }  // namespace

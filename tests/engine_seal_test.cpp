@@ -1,14 +1,13 @@
-// Seal-shape adversaries of the pipelined round close (DESIGN.md §8).
+// Bucket-shape adversaries of the sharded round close (DESIGN.md §7).
 //
-// A sender shard seals its buckets when its sweep returns, and destination
-// d's merge starts once every feeder of d (and d itself) has sealed. Every
-// observable must stay BIT-IDENTICAL to the sequential engine across the
-// shared policy matrix ({1} ∪ {2,4} × {barriered, pipelined}). These tests
-// pin that under the shapes that stress the seal/merge handoff — a hot
-// sender shard whose one cross-shard feeder runs first vs last in the sweep,
-// buckets with capacity but zero staged traffic, rounds whose traffic never
-// crosses a shard boundary — plus the stamp/epoch wrap fallbacks and the
-// hardened drain() protocol.
+// A sender shard's buckets are final when the callback dispatch returns, and
+// destination d's merge reads every bucket feeding d. Every observable must
+// stay BIT-IDENTICAL to the sequential engine across the shared policy
+// matrix ({1, 2, 4} threads). These tests pin that under the shapes that
+// stress the bucket/merge handoff — a hot sender shard whose one
+// cross-shard feeder runs first vs last in the sweep, buckets with capacity
+// but zero staged traffic, rounds whose traffic never crosses a shard
+// boundary — plus the stamp/epoch wraps and the hardened drain() protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,26 +18,21 @@
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
 #include "tests/policy_matrix.hpp"
+#include "tests/trace_recorder.hpp"
 
 namespace pw::sim {
 namespace {
 
 using graph::Graph;
 
-// Full per-node delivery trace of a flood driven by `fn`-agnostic rules:
-// every (activation, from, port, payload) tuple each callback observes, in
-// order. Collection is §7-conforming (node v's callback appends to trace[v]
-// only).
+// The delivery trace `drive` produces on a fresh engine under `policy`,
+// with the accounting totals pinned alongside.
 template <class Drive>
-std::vector<std::vector<std::uint64_t>> trace_of(const Graph& g,
-                                                 ExecutionPolicy policy,
-                                                 Drive&& drive) {
+TraceRecorder trace_of(const Graph& g, ExecutionPolicy policy, Drive&& drive) {
   Engine eng(g, policy);
-  std::vector<std::vector<std::uint64_t>> trace(
-      static_cast<std::size_t>(g.n()));
+  TraceRecorder trace(g.n());
   drive(eng, trace);
-  // Fold accounting into the comparison so totals are pinned too.
-  trace.push_back({eng.rounds(), eng.messages()});
+  trace.note_totals(eng);
   return trace;
 }
 
@@ -47,25 +41,20 @@ void expect_trace_equal_across_policies(const Graph& g, Drive&& drive) {
   const auto reference = trace_of(g, kPolicies[0], drive);
   for (const auto policy : kPolicies) {
     if (policy.num_threads == 1) continue;
-    EXPECT_EQ(reference, trace_of(g, policy, drive)) << policy_name(policy);
+    EXPECT_TRUE(
+        SameTrace(reference, trace_of(g, policy, drive), policy_name(policy)));
   }
 }
 
 // Flood driver: every node forwards on all ports the first time it is
 // reached; callbacks record their whole inbox.
-void flood_drive(Engine& eng, std::vector<std::vector<std::uint64_t>>& trace) {
+void flood_drive(Engine& eng, TraceRecorder& trace) {
   const auto& g = eng.graph();
   std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
   seen[0] = 1;
   eng.wake(0);
   eng.run([&](int v) {
-    auto& t = trace[static_cast<std::size_t>(v)];
-    t.push_back(0xa0a0a0a0ULL);
-    for (const auto& in : eng.inbox(v)) {
-      t.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                  static_cast<std::uint32_t>(in.port));
-      t.push_back(in.msg.a);
-    }
+    trace.record(eng, v);
     bool fresh = v == 0 && eng.inbox(v).empty();
     if (!seen[static_cast<std::size_t>(v)]) {
       seen[static_cast<std::size_t>(v)] = 1;
@@ -81,8 +70,8 @@ void flood_drive(Engine& eng, std::vector<std::vector<std::uint64_t>>& trace) {
 // {48..63}. The top shard runs a long busy chain every round, and its ONLY
 // arc into the bottom shard leaves from `feeder` — at the front of the sweep
 // (48) or at the back (63), so bucket (3 → 0) is complete early or late in
-// the sweep that seals it. Chains in the other shards give every bucket pair
-// some capacity to exercise empty seals too.
+// its shard's sweep. Chains in the other shards give every bucket pair some
+// capacity to exercise empty buckets too.
 Graph skewed_star(int feeder) {
   std::vector<graph::Edge> es;
   es.push_back({0, feeder, 1});
@@ -93,16 +82,12 @@ Graph skewed_star(int feeder) {
 // Wakes the whole top shard (48..63) every round so its sweep is long, while
 // the hub (node 0) just records what arrives. The workload is defined purely
 // in node-id terms, so it is identical under every shard layout.
-void skewed_drive(Engine& eng, std::vector<std::vector<std::uint64_t>>& trace) {
+void skewed_drive(Engine& eng, TraceRecorder& trace) {
   const auto& g = eng.graph();
   for (int v = 48; v < 64; ++v) eng.wake(v);
   std::vector<int> rounds_left(static_cast<std::size_t>(g.n()), 3);
   eng.run([&](int v) {
-    auto& t = trace[static_cast<std::size_t>(v)];
-    t.push_back(0xb1b1b1b1ULL);
-    for (const auto& in : eng.inbox(v))
-      t.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                  static_cast<std::uint32_t>(in.port));
+    trace.record(eng, v);
     if (v < 48) return;  // below the hot band: receive only
     if (--rounds_left[static_cast<std::size_t>(v)] <= 0) return;
     eng.wake(v);
@@ -126,8 +111,7 @@ TEST(EngineSeal, PlainFloodOnSkewedStar) {
 
 // Buckets with CAPACITY but zero staged traffic: the path edges carry the
 // flood while the long-range chords never carry a message — their buckets
-// must seal without a single staged entry, or the destination merges would
-// deadlock.
+// reach the merge (and, under shm, the publish pass) with no staged entry.
 TEST(EngineSeal, CapacityCarryingBucketWithZeroStagedMessages) {
   std::vector<graph::Edge> es;
   for (int v = 0; v < 63; ++v) es.push_back({v, v + 1, 1});
@@ -143,11 +127,7 @@ TEST(EngineSeal, CapacityCarryingBucketWithZeroStagedMessages) {
     seen[0] = 1;
     eng.wake(0);
     eng.run([&](int v) {
-      auto& t = trace[static_cast<std::size_t>(v)];
-      t.push_back(0xc2c2c2c2ULL);
-      for (const auto& in : eng.inbox(v))
-        t.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                    static_cast<std::uint32_t>(in.port));
+      trace.record(eng, v);
       bool fresh = v == 0 && eng.inbox(v).empty();
       if (!seen[static_cast<std::size_t>(v)]) {
         seen[static_cast<std::size_t>(v)] = 1;
@@ -176,11 +156,7 @@ TEST(EngineSeal, SelfEdgeOnlyRound) {
     const auto& gg = eng.graph();
     for (int v = 5; v <= 10; ++v) eng.wake(v);
     eng.run([&](int v) {
-      auto& t = trace[static_cast<std::size_t>(v)];
-      t.push_back(0xd3d3d3d3ULL);
-      for (const auto& in : eng.inbox(v))
-        t.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                    static_cast<std::uint32_t>(in.port));
+      trace.record(eng, v);
       if (v < 5 || v > 10 || !eng.inbox(v).empty()) return;
       for (int p = 0; p < gg.degree(v); ++p)
         eng.send(v, p, Msg{4, static_cast<std::uint64_t>(v), 0, 0});
@@ -188,14 +164,14 @@ TEST(EngineSeal, SelfEdgeOnlyRound) {
   });
 }
 
-// The once-per-2^32-rounds stamp wrap falls back to a barriered close for
-// exactly one round mid-run; the pipelined close must resume cleanly on the
-// next. Forced via the debug_set_wrap_state test hook a few rounds before
+// The once-per-2^32-rounds stamp wrap clears the arc and run stamps inside
+// one round close mid-run; the rounds after it must deliver exactly as
+// before. Forced via the debug_set_wrap_state test hook a few rounds before
 // the wrap.
 TEST(EngineSeal, ForcedRoundIdWrapMidRun) {
   Rng rng(21);
   const Graph g = graph::gen::random_connected(256, 768, rng);
-  auto drive = [](Engine& eng, std::vector<std::vector<std::uint64_t>>& tr) {
+  auto drive = [](Engine& eng, TraceRecorder& tr) {
     eng.debug_set_wrap_state(std::numeric_limits<std::uint32_t>::max() - 2, 5);
     flood_drive(eng, tr);
   };
@@ -206,7 +182,7 @@ TEST(EngineSeal, ForcedRoundIdWrapMidRun) {
 TEST(EngineSeal, ForcedWakeEpochWrapMidRun) {
   Rng rng(22);
   const Graph g = graph::gen::random_connected(256, 768, rng);
-  auto drive = [](Engine& eng, std::vector<std::vector<std::uint64_t>>& tr) {
+  auto drive = [](Engine& eng, TraceRecorder& tr) {
     eng.debug_set_wrap_state(100, (1ULL << 40) - 3);
     flood_drive(eng, tr);
   };
@@ -217,7 +193,7 @@ TEST(EngineSeal, ForcedWakeEpochWrapMidRun) {
 TEST(EngineSeal, ForcedDoubleWrapMidRun) {
   Rng rng(23);
   const Graph g = graph::gen::random_connected(256, 768, rng);
-  auto drive = [](Engine& eng, std::vector<std::vector<std::uint64_t>>& tr) {
+  auto drive = [](Engine& eng, TraceRecorder& tr) {
     eng.debug_set_wrap_state(std::numeric_limits<std::uint32_t>::max() - 3,
                              (1ULL << 40) - 2);
     flood_drive(eng, tr);
@@ -225,16 +201,16 @@ TEST(EngineSeal, ForcedDoubleWrapMidRun) {
   expect_trace_equal_across_policies(g, drive);
 }
 
-// drain() between budgeted pipelined segments: the first segment exits
+// drain() between budgeted run() segments: the first segment exits
 // with a full round of traffic delivered-but-unread and the whole hot band
 // re-woken; drain must discard all of it, and the next begin_round() must
 // see no leaked cursor state (begin_round PW_CHECKs the staging buckets are
 // empty, and an empty round trip must move no messages).
-TEST(EngineSeal, DrainBetweenPipelinedSegmentsLeaksNothing) {
+TEST(EngineSeal, DrainBetweenRunSegmentsLeaksNothing) {
   Rng rng(31);
   const Graph g = graph::gen::random_connected(96, 288, rng);
-  constexpr ExecutionPolicy kPipelined{.num_threads = 4, .pipeline = true};
-  Engine eng(g, kPipelined);
+  constexpr ExecutionPolicy kSharded{.num_threads = 4};
+  Engine eng(g, kSharded);
 
   for (int v = 0; v < g.n(); ++v) eng.wake(v);
   eng.run(
@@ -272,7 +248,7 @@ TEST(EngineSeal, DrainBetweenPipelinedSegmentsLeaksNothing) {
     });
     return received.load();
   };
-  Engine fresh(g, kPipelined);
+  Engine fresh(g, kSharded);
   const auto fresh_snap = fresh.snap();
   const auto drained_snap = eng.snap();
   const auto fresh_sum = probe(fresh);
@@ -281,15 +257,15 @@ TEST(EngineSeal, DrainBetweenPipelinedSegmentsLeaksNothing) {
             fresh.since(fresh_snap).messages);
 }
 
-// drain() from INSIDE an open pipelined round must abort: sibling shards
-// may still be sweeping and merge tasks in flight (§8), so discarding wake
-// lists here would race with the merges writing them.
-TEST(EngineSealDeath, DrainFromInsidePipelinedRoundAborts) {
+// drain() from INSIDE an open round must abort: sibling shards may still be
+// sweeping (§7), so discarding wake lists here would race with the
+// callbacks writing them.
+TEST(EngineSealDeath, DrainFromInsideParallelRoundAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {
         Graph g = graph::gen::path(64);
-        Engine eng(g, ExecutionPolicy{.num_threads = 4, .pipeline = true});
+        Engine eng(g, ExecutionPolicy{.num_threads = 4});
         eng.wake(40);
         eng.run([&](int) { eng.drain(); });
       },
@@ -298,7 +274,7 @@ TEST(EngineSealDeath, DrainFromInsidePipelinedRoundAborts) {
 
 // A parallel callback may send only AS the node it was invoked on (§7): a
 // send on behalf of a SAME-SHARD sibling (here: node 41's callback sending
-// as its neighbor 40) aborts in every parallel close mode.
+// as its neighbor 40) aborts.
 TEST(EngineSealDeath, SiblingProxySendFromParallelCallbackAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   for (const auto policy : kPolicies) {

@@ -5,6 +5,7 @@
 
 #include "src/graph/generators.hpp"
 #include "src/sim/engine.hpp"
+#include "tests/trace_recorder.hpp"
 
 namespace pw::sim {
 namespace {
@@ -211,12 +212,12 @@ TEST(EngineStress, DeterministicAcrossIdenticalRuns) {
   Graph g = graph::gen::random_connected(100, 300, rng);
   auto run_trace = [&] {
     Engine eng(g);
-    std::vector<int> trace;
+    TraceRecorder trace(g.n());
     eng.wake(42);
     std::vector<char> seen(g.n(), 0);
     seen[42] = 1;
     eng.run([&](int v) {
-      trace.push_back(v);
+      trace.record(eng, v);
       bool fresh = v == 42 && eng.inbox(v).empty();
       if (!seen[v]) {
         seen[v] = 1;
@@ -225,9 +226,10 @@ TEST(EngineStress, DeterministicAcrossIdenticalRuns) {
       if (!fresh) return;
       for (int p = 0; p < g.degree(v); ++p) eng.send(v, p, Msg{});
     });
+    trace.note_totals(eng);
     return trace;
   };
-  EXPECT_EQ(run_trace(), run_trace());
+  EXPECT_TRUE(SameTrace(run_trace(), run_trace(), "sequential rerun"));
 }
 
 }  // namespace

@@ -7,14 +7,13 @@
 // either side of the link. These tests pin (a) the in-place stage → publish
 // → drain round trip and the one-frame-per-round ring protocol in isolation,
 // (b) full delivery traces bit-identical between InProcTransport and
-// ShmRingTransport across {2,4} threads × both close modes — for both the
-// manual end_round() loop (the barriered publish_all path) and run()'s
-// pipelined close (the publish-at-seal path), (c) the single-shard
-// degeneration to kInProc, (d) the watchdog's per-ring liveness lines when a
-// shm-backed close wedges, and (e) the multi-process runner: forked shard
-// workers over the same rings produce traces matching a sequential engine,
-// and a killed worker is named — with its stalled rings — by the parent's
-// watchdog report.
+// ShmRingTransport across {2,4} threads — for both the manual end_round()
+// loop and run() — (c) the single-shard degeneration to kInProc, and (d) the
+// multi-process runner: forked shard workers over the same rings produce
+// traces matching a sequential engine, and a killed worker is named — with
+// its stalled rings — by the parent's watchdog report. The in-engine
+// watchdog's per-ring liveness lines are pinned by engine_fault_test
+// (Watchdog.WedgedCallbackAbortsWithDiagnostics).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +26,7 @@
 #include "src/sim/transport.hpp"
 #include "src/util/rng.hpp"
 #include "tests/policy_matrix.hpp"
+#include "tests/trace_recorder.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -103,26 +103,18 @@ TEST(SpscRing, PublishDrainCycleAdvancesFrameCounters) {
 
 // --- in-engine trace equality ----------------------------------------------
 
-// Full delivery trace of a BFS flood via the MANUAL round loop — this is the
-// path where shm publishes happen in end_round()'s barriered publish_all(),
-// with no seals in play.
-std::vector<std::uint64_t> manual_loop_trace(const Graph& g,
-                                             ExecutionPolicy policy) {
+// Full delivery trace of a BFS flood via the MANUAL round loop: the caller
+// thread sends, and end_round() publishes and merges.
+TraceRecorder manual_loop_trace(const Graph& g, ExecutionPolicy policy) {
   Engine eng(g, policy);
-  std::vector<std::uint64_t> trace;
+  TraceRecorder trace(g.n());
   std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
   seen[0] = 1;
   eng.wake(0);
   while (!eng.idle()) {
     eng.begin_round();
     for (const int v : eng.active_nodes()) {
-      trace.push_back(static_cast<std::uint64_t>(v) << 32 | 0xa0a0a0a0u);
-      for (const auto& in : eng.inbox(v)) {
-        trace.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                        static_cast<std::uint32_t>(in.port));
-        trace.push_back(in.msg.tag);
-        trace.push_back(in.msg.a);
-      }
+      trace.record(eng, v);
       bool fresh = v == 0 && eng.inbox(v).empty();
       if (!seen[static_cast<std::size_t>(v)]) {
         seen[static_cast<std::size_t>(v)] = 1;
@@ -133,30 +125,20 @@ std::vector<std::uint64_t> manual_loop_trace(const Graph& g,
         eng.send(v, p, Msg{7, static_cast<std::uint64_t>(v), 0, 0});
     }
     eng.end_round();
-    trace.push_back(~0ULL);  // round separator
   }
-  trace.push_back(eng.rounds());
-  trace.push_back(eng.messages());
+  trace.note_totals(eng);
   return trace;
 }
 
-// Full per-node observation trace of a chatter run through run() — the path
-// where shm publishes ride the §8 seals under the pipelined close.
-std::vector<std::vector<std::uint64_t>> run_trace(const Graph& g,
-                                                  ExecutionPolicy policy) {
+// Full delivery trace of a chatter run through run(): the sends come from
+// shard-parallel callbacks.
+TraceRecorder run_trace(const Graph& g, ExecutionPolicy policy) {
   Engine eng(g, policy);
-  std::vector<std::vector<std::uint64_t>> trace(
-      static_cast<std::size_t>(g.n()));
+  TraceRecorder trace(g.n());
   std::vector<int> left(static_cast<std::size_t>(g.n()), 5);
   for (int v = 0; v < g.n(); ++v) eng.wake(v);
   eng.run([&](int v) {
-    auto& t = trace[static_cast<std::size_t>(v)];
-    t.push_back(0xc0c0c0c0ULL);
-    for (const auto& in : eng.inbox(v)) {
-      t.push_back(static_cast<std::uint64_t>(in.from) << 32 |
-                  static_cast<std::uint32_t>(in.port));
-      t.push_back(in.msg.a);
-    }
+    trace.record(eng, v);
     int& r = left[static_cast<std::size_t>(v)];
     if (r <= 0) return;
     --r;
@@ -165,7 +147,7 @@ std::vector<std::vector<std::uint64_t>> run_trace(const Graph& g,
     for (int p = 0; p < g.degree(v); ++p) eng.send(v, p, Msg{1, payload, 0, 0});
     if (r > 0) eng.wake(v);
   });
-  trace.push_back({eng.rounds(), eng.messages()});
+  trace.note_totals(eng);
   return trace;
 }
 
@@ -173,31 +155,31 @@ TEST(ShmTransport, ManualLoopTraceIdenticalToInProc) {
   Rng rng(17);
   const Graph g = graph::gen::random_connected(300, 900, rng);
   const auto reference = manual_loop_trace(g, kPolicies[0]);
-  ASSERT_GT(reference.size(), 4u);
+  ASSERT_GT(reference.events().size(), 4u);
   for (ExecutionPolicy policy : kPolicies) {
     if (policy.num_threads == 1) continue;
     policy.transport = TransportKind::kShmRing;
-    EXPECT_EQ(reference, manual_loop_trace(g, policy)) << policy_name(policy);
+    EXPECT_TRUE(SameTrace(reference, manual_loop_trace(g, policy),
+                          policy_name(policy)));
   }
 }
 
-TEST(ShmTransport, RunTraceIdenticalToInProcAcrossCloseModes) {
+TEST(ShmTransport, RunTraceIdenticalToInProc) {
   const Graph g = graph::gen::torus(8, 8);
   const auto reference = run_trace(g, kPolicies[0]);
   for (ExecutionPolicy policy : kPolicies) {
     if (policy.num_threads == 1) continue;
-    const auto inproc = run_trace(g, policy);
-    EXPECT_EQ(reference, inproc) << policy_name(policy);
+    EXPECT_TRUE(
+        SameTrace(reference, run_trace(g, policy), policy_name(policy)));
     policy.transport = TransportKind::kShmRing;
-    EXPECT_EQ(reference, run_trace(g, policy)) << policy_name(policy);
+    EXPECT_TRUE(
+        SameTrace(reference, run_trace(g, policy), policy_name(policy)));
   }
 }
 
 TEST(ShmTransport, ReportsArmedKindAndSingleShardDegenerates) {
   const Graph g = graph::gen::grid(6, 6);
-  ExecutionPolicy shm{.num_threads = 4,
-                      .pipeline = true,
-                      .transport = TransportKind::kShmRing};
+  ExecutionPolicy shm{.num_threads = 4, .transport = TransportKind::kShmRing};
   Engine multi(g, shm);
   EXPECT_EQ(multi.transport_kind(), TransportKind::kShmRing);
 
@@ -207,7 +189,7 @@ TEST(ShmTransport, ReportsArmedKindAndSingleShardDegenerates) {
   Engine single(g, shm);
   EXPECT_EQ(single.transport_kind(), TransportKind::kInProc);
 
-  Engine def(g, ExecutionPolicy{.num_threads = 4, .pipeline = true});
+  Engine def(g, ExecutionPolicy{.num_threads = 4});
   EXPECT_EQ(def.transport_kind(), TransportKind::kInProc);
 }
 
@@ -220,52 +202,9 @@ TEST(ShmTransport, SkewedTrafficIdenticalToInProc) {
   for (ExecutionPolicy policy : kPolicies) {
     if (policy.num_threads == 1) continue;
     policy.transport = TransportKind::kShmRing;
-    EXPECT_EQ(reference, manual_loop_trace(g, policy)) << policy_name(policy);
+    EXPECT_TRUE(SameTrace(reference, manual_loop_trace(g, policy),
+                          policy_name(policy)));
   }
-}
-
-// --- watchdog ring liveness --------------------------------------------------
-
-#if defined(__SANITIZE_THREAD__)  // GCC
-#define PW_UNDER_TSAN 1
-#elif defined(__has_feature)  // Clang
-#if __has_feature(thread_sanitizer)
-#define PW_UNDER_TSAN 1
-#endif
-#endif
-
-// Withhold one bucket seal under the shm transport: the seal never fires, so
-// its ring's frame is never published, the close wedges, and the §9 watchdog
-// dump must now include the transport's per-ring liveness lines — the
-// starved link shows "awaiting publish".
-[[maybe_unused]] void run_shm_with_withheld_seal(const Graph& g) {
-  const ExecutionPolicy policy{.num_threads = 4,
-                               .pipeline = true,
-                               .watchdog_ms = 1000,
-                               .transport = TransportKind::kShmRing};
-  Engine eng(g, policy);
-  eng.debug_withhold_seal(1, 0);
-  std::vector<int> left(static_cast<std::size_t>(g.n()), 3);
-  for (int v = 0; v < g.n(); ++v) eng.wake(v);
-  eng.run([&](int v) {
-    int& r = left[static_cast<std::size_t>(v)];
-    if (r <= 0) return;
-    --r;
-    for (int p = 0; p < g.degree(v); ++p) eng.send(v, p, Msg{1, 1, 0, 0});
-    if (r > 0) eng.wake(v);
-  });
-}
-
-TEST(ShmTransportWatchdog, WithheldSealDumpNamesStalledRing) {
-#ifdef PW_UNDER_TSAN
-  GTEST_SKIP() << "death test forks after threads exist; the watchdog dump "
-                  "intentionally reads racing counters TSan would flag";
-#else
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  const Graph g = graph::gen::grid(8, 8);
-  EXPECT_DEATH(run_shm_with_withheld_seal(g),
-               "ring \\(1 -> 0\\).*stalled: awaiting publish");
-#endif
 }
 
 // --- the multi-process runner ------------------------------------------------

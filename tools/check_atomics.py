@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Audit the engine's atomics for explicit ordering and PAIR discipline.
 
-The lock-free surface of the sharded engine — executor dependency counters
-and merge-claim slots, ring pub_seq handshakes (DESIGN.md §8/§10) — depends
+The lock-free surface of the sharded engine — the executor's dispatch
+generation and barrier, ring pub_seq handshakes (DESIGN.md §7/§10) — depends
 on release/acquire pairings that prose documents and TSan only samples.
 This lint makes them machine-checked (DESIGN.md §11):
 
@@ -389,7 +389,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("files", nargs="*",
                     help="files to audit (default: src/sim/*.{hpp,cpp})")
-    ap.add_argument("--min-groups", type=int, default=8,
+    ap.add_argument("--min-groups", type=int, default=5,
                     help="minimum PAIR groups (anti-vacuous floor)")
     ap.add_argument("--write-map", metavar="PATH",
                     help="emit the pairing registry markdown to PATH")

@@ -371,8 +371,7 @@ void reference_hashes(const Graph& g, const Partition& part,
   hash.assign(static_cast<std::size_t>(S), kFnvOffset);
   delivered.assign(static_cast<std::size_t>(S), 0);
   std::vector<std::uint64_t> mixv(hash.size());
-  pw::sim::Engine eng(
-      g, pw::sim::ExecutionPolicy{.num_threads = 1, .pipeline = false});
+  pw::sim::Engine eng(g, pw::sim::ExecutionPolicy{.num_threads = 1});
   std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
   eng.wake(0);
   while (!eng.idle()) {
