@@ -33,8 +33,9 @@ void run() {
       pc.delay_range = delay_range;
       pc.seed = 61;
       const auto snap = eng.snap();
-      const auto res = core::pa_given(eng, solver.partition(), st.div, st.sc,
-                                      st.t, agg::sum(), values, pc);
+      const auto res =
+          core::pa_given(eng, solver.partition(), st.div, st.labels, st.sc,
+                         st.t, agg::sum(), values, pc);
       PW_CHECK(res.all_covered());
       return eng.since(snap);
     };

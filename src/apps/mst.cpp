@@ -22,7 +22,8 @@ std::uint64_t pack_edge(graph::Weight w, int edge_id) {
          static_cast<std::uint32_t>(edge_id);
 }
 
-// One announcement round: every node tells every neighbor its fragment id.
+// One announcement round: every node tells every neighbor its fragment id
+// (the GHS-style baseline's own KT0 traffic; Borůvka reads PaSolver's labels).
 void announce_fragments(sim::Engine& eng, const std::vector<int>& fragment_of,
                         std::vector<int>& neighbor_fragment) {
   const auto& g = eng.graph();
@@ -55,32 +56,33 @@ MstResult boruvka_mst(sim::Engine& eng, const core::PaSolverConfig& cfg) {
   // Fragment state: labels and, per fragment, its leader node.
   std::vector<int> fragment_of(g.n());
   std::iota(fragment_of.begin(), fragment_of.end(), 0);
-  std::vector<int> neighbor_fragment;
 
   // Each fragment partition is installed once. Phase 0 runs on the
   // singletons; every later phase runs on the merged partition that PA #2
   // of the phase before installed. from_labels numbers parts by first
   // appearance and leaders are min-id, so relabelling the merged fragments
   // by their min old label yields that same partition (checked per phase).
+  // Installing it announced every node's part to its neighbours, so an edge
+  // leaves v's fragment exactly when the installed labels say the far end
+  // is in another part; no phase announces fragment ids of its own.
   solver.set_partition(graph::singleton_partition(g));
 
   const int max_phases = 2 * static_cast<int>(std::log2(std::max(2, g.n()))) + 4;
   for (int phase = 0;; ++phase) {
     PW_CHECK_MSG(phase < max_phases, "Boruvka failed to converge");
 
-    announce_fragments(eng, fragment_of, neighbor_fragment);
-
     graph::Partition part = graph::Partition::from_labels(fragment_of);
     part.elect_min_id_leaders();
     PW_CHECK_MSG(part == solver.partition(),
                  "fragment partition differs from the installed one at phase %d",
                  phase);
+    const std::vector<int>& neighbor_part = solver.structures().labels.part;
 
     // PA #1: lightest outgoing edge per fragment.
     std::vector<std::uint64_t> candidate(g.n(), kNoEdge);
     for (int v = 0; v < g.n(); ++v)
       for (int port = 0; port < g.degree(v); ++port) {
-        if (neighbor_fragment[g.arc_id(v, port)] == fragment_of[v]) continue;
+        if (neighbor_part[g.arc_id(v, port)] == part.part_of[v]) continue;
         const auto& arc = g.arcs(v)[port];
         candidate[v] = std::min(candidate[v],
                                 pack_edge(g.edge(arc.edge).w, arc.edge));

@@ -8,8 +8,8 @@
 //   2. relabel: after fragments merge along the selected edges, f = min over
 //      fragment ids tells every node its merged fragment's new id (and
 //      leader), restoring the "known leader" invariant for the next phase.
-// One announcement round per phase refreshes each node's knowledge of its
-// neighbors' fragments (O(m) messages).
+// Each node knows its neighbors' fragments from the KT0 labels the solver
+// announces once per installed fragment partition (O(m) messages a phase).
 //
 // MST is "solved" in the paper's sense: every node knows which of its
 // incident edges are MST edges. The returned edge set is global bookkeeping

@@ -152,9 +152,11 @@ shortcut::Shortcut corefast_claim(sim::Engine& eng, const graph::Partition& p,
 CoreFastResult build_shortcut_random(sim::Engine& eng,
                                      const graph::Partition& p,
                                      const shortcut::SubPartDivision& d,
+                                     const NeighborLabels& labels,
                                      const tree::SpanningForest& t,
                                      const CoreFastConfig& cfg) {
   const auto& g = eng.graph();
+  labels.check_matches(g, p);
   const auto snap = eng.snap();
   Rng rng(cfg.seed ^ 0xC0FEFA57ULL);
 
@@ -200,7 +202,8 @@ CoreFastResult build_shortcut_random(sim::Engine& eng,
     vcfg.seed = rng.next_u64();
     // Only participating parts are verified; no other verdict is read.
     const auto verdict = verify_block_parameter(
-        eng, p, d, candidate, t, 3 * cfg.block_target, vcfg, participating);
+        eng, p, d, labels, candidate, t, 3 * cfg.block_target, vcfg,
+        participating);
     std::vector<char> newly_frozen(p.num_parts, 0);
     for (int i = 0; i < p.num_parts; ++i) {
       if (!participating[i] || !verdict.part_good[i]) continue;

@@ -62,10 +62,12 @@ shortcut::Shortcut corefast_claim(sim::Engine& eng, const graph::Partition& p,
                                   const std::vector<char>& participating,
                                   int congestion_cap);
 
-// Algorithm 4: the claim/verify/freeze loop.
+// Algorithm 4: the claim/verify/freeze loop. `labels` are the partition's
+// KT0 labels (announce_labels on p and d); every verification reads them.
 CoreFastResult build_shortcut_random(sim::Engine& eng,
                                      const graph::Partition& p,
                                      const shortcut::SubPartDivision& d,
+                                     const NeighborLabels& labels,
                                      const tree::SpanningForest& t,
                                      const CoreFastConfig& cfg);
 

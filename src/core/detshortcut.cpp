@@ -91,10 +91,12 @@ PathDoubleResult path_shortcut_double(
 DetShortcutResult build_shortcut_det(sim::Engine& eng,
                                      const graph::Partition& p,
                                      const shortcut::SubPartDivision& d,
+                                     const NeighborLabels& labels,
                                      const tree::SpanningForest& t,
                                      const tree::HeavyPaths& hp,
                                      const DetShortcutConfig& cfg) {
   const auto& g = eng.graph();
+  labels.check_matches(g, p);
   const auto snap = eng.snap();
 
   int max_reps = cfg.max_repetitions;
@@ -177,7 +179,8 @@ DetShortcutResult build_shortcut_det(sim::Engine& eng,
     std::vector<char> unsettled(p.num_parts, 0);
     for (int i = 0; i < p.num_parts; ++i) unsettled[i] = !settled[i];
     const auto verdict = verify_block_parameter(
-        eng, p, d, candidate, t, 3 * cfg.block_target, vcfg, unsettled);
+        eng, p, d, labels, candidate, t, 3 * cfg.block_target, vcfg,
+        unsettled);
     std::vector<char> newly_frozen(p.num_parts, 0);
     for (int i = 0; i < p.num_parts; ++i) {
       if (!unsettled[i] || !verdict.part_good[i]) continue;

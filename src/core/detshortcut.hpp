@@ -66,9 +66,12 @@ struct DetShortcutResult {
   }
 };
 
+// Algorithm 8. `labels` are the partition's KT0 labels (announce_labels on
+// p and d); every verification reads them.
 DetShortcutResult build_shortcut_det(sim::Engine& eng,
                                      const graph::Partition& p,
                                      const shortcut::SubPartDivision& d,
+                                     const NeighborLabels& labels,
                                      const tree::SpanningForest& t,
                                      const tree::HeavyPaths& hp,
                                      const DetShortcutConfig& cfg);

@@ -7,7 +7,7 @@ namespace pw::core {
 namespace {
 
 enum : std::uint16_t {
-  kInfo = 1,       // announce (part, sub-part) to neighbors (KT0 bootstrap)
+  kInfo = 1,       // announce_labels: (part, sub-part) to neighbors (KT0)
   kToken = 2,      // wave token along sub-part trees / cross edges
   kBlockUp = 3,    // BlockRoute climb toward the block root
   kBlockDown = 4,  // BlockRoute broadcast down block edges
@@ -46,13 +46,14 @@ struct OutItem {
 class Waveguide {
  public:
   Waveguide(sim::Engine& eng, const graph::Partition& p,
-            const shortcut::SubPartDivision& d, const shortcut::Shortcut& s,
-            const tree::SpanningForest& t, const PaGivenConfig& cfg,
-            const std::vector<char>& active)
+            const shortcut::SubPartDivision& d, const NeighborLabels& labels,
+            const shortcut::Shortcut& s, const tree::SpanningForest& t,
+            const PaGivenConfig& cfg, const std::vector<char>& active)
       : eng_(eng),
         g_(eng.graph()),
         p_(p),
         d_(d),
+        labels_(labels),
         s_(s),
         t_(t),
         cfg_(cfg),
@@ -60,45 +61,13 @@ class Waveguide {
         entries_(g_.n()),
         outbox_(g_.n()),
         pending_origin_(g_.n(), 0),
-        cross_ports_(g_.n()),
         seq_(g_.n(), 0) {
     PW_CHECK(p.has_leaders());
+    labels.check_matches(g_, p);
     PW_CHECK_MSG(static_cast<int>(active_.size()) == p.num_parts,
                  "active mask has %zu entries for %d parts", active_.size(),
                  p.num_parts);
     precompute_hi_children();
-  }
-
-  // --- Stage 0: KT0 neighbor announcement (one round, one message per port
-  // of an active part's node; 2m when every part is active). ----------------
-  void announce() {
-    const int n = g_.n();
-    neighbor_part_.assign(g_.num_arcs(), -1);
-    neighbor_subpart_.assign(g_.num_arcs(), -1);
-    for (int v = 0; v < n; ++v)
-      if (in_active_part(v)) eng_.wake(v);
-    std::vector<char> info_sent(n, 0);
-    eng_.run([&](int v) {
-      for (const auto& in : eng_.inbox(v)) {
-        if (in.msg.tag != kInfo) continue;
-        neighbor_part_[g_.arc_id(v, in.port)] = static_cast<int>(in.msg.a);
-        neighbor_subpart_[g_.arc_id(v, in.port)] = static_cast<int>(in.msg.b);
-      }
-      if (info_sent[v] || !in_active_part(v)) return;
-      info_sent[v] = 1;
-      for (int port = 0; port < g_.degree(v); ++port)
-        eng_.send(v, port,
-                  sim::Msg{kInfo, static_cast<std::uint64_t>(p_.part_of[v]),
-                           static_cast<std::uint64_t>(d_.subpart_of[v]), 0});
-    });
-    // Derive cross ports: same part, different sub-part.
-    for (int v = 0; v < n; ++v)
-      for (int port = 0; port < g_.degree(v); ++port) {
-        const int a = g_.arc_id(v, port);
-        if (neighbor_part_[a] == p_.part_of[v] &&
-            neighbor_subpart_[a] != d_.subpart_of[v])
-          cross_ports_[v].push_back(port);
-      }
   }
 
   // --- Stage 1: wave (Algorithm 1 lines 1-20). -----------------------------
@@ -237,7 +206,7 @@ class Waveguide {
     eng_.run([&](int v) {
       for (const auto& in : eng_.inbox(v)) {
         if (in.msg.tag != kNack) continue;
-        if (neighbor_part_[g_.arc_id(v, in.port)] != p_.part_of[v]) continue;
+        if (labels_.part[g_.arc_id(v, in.port)] != p_.part_of[v]) continue;
         if (find(v, p_.part_of[v]) != nullptr) objected[v] = 1;
       }
       if (!nack_sent[v] && uninformed(v)) {
@@ -361,7 +330,7 @@ class Waveguide {
       if (tp >= 0 && tp != parent_port) enqueue(v, tp, -1, token);
       for (int cp : d_.forest.children_ports[v])
         if (cp != parent_port) enqueue(v, cp, -1, token);
-      for (int xp : cross_ports_[v])
+      for (int xp : labels_.cross_ports(v))
         if (xp != parent_port) enqueue(v, xp, -1, token);
       // Lines 8-12: representatives alone inject into shortcut blocks.
       if (d_.is_representative(v)) handle_block_up(v, e);
@@ -439,6 +408,7 @@ class Waveguide {
   const graph::Graph& g_;
   const graph::Partition& p_;
   const shortcut::SubPartDivision& d_;
+  const NeighborLabels& labels_;  // announced once per partition, read only
   const shortcut::Shortcut& s_;
   const tree::SpanningForest& t_;
   PaGivenConfig cfg_;
@@ -447,9 +417,6 @@ class Waveguide {
   std::vector<std::vector<Entry>> entries_;
   std::vector<std::vector<OutItem>> outbox_;
   std::vector<char> pending_origin_;
-  std::vector<std::vector<int>> cross_ports_;
-  std::vector<int> neighbor_part_;
-  std::vector<int> neighbor_subpart_;
   // Per parent node: (part, child port) pairs with that child edge in Hi.
   std::vector<std::vector<std::pair<int, int>>> hi_children_;
   std::vector<std::uint64_t> seq_;
@@ -457,18 +424,68 @@ class Waveguide {
 
 }  // namespace
 
+void NeighborLabels::check_matches(const graph::Graph& g,
+                                   const graph::Partition& p) const {
+  const auto arcs = static_cast<std::size_t>(g.num_arcs());
+  PW_CHECK_MSG(n == g.n() && part.size() == arcs &&
+                   num_parts == p.num_parts,
+               "neighbor labels were announced for n=%d, %zu arcs, %d parts "
+               "but are used on n=%d, %zu arcs, %d parts; announce_labels "
+               "again after installing a partition",
+               n, part.size(), num_parts, g.n(), arcs, p.num_parts);
+}
+
+NeighborLabels announce_labels(sim::Engine& eng, const graph::Partition& p,
+                               const shortcut::SubPartDivision& d) {
+  const auto& g = eng.graph();
+  PW_CHECK(static_cast<int>(p.part_of.size()) == g.n() &&
+           static_cast<int>(d.subpart_of.size()) == g.n());
+  NeighborLabels l;
+  l.n = g.n();
+  l.num_parts = p.num_parts;
+  l.part.assign(g.num_arcs(), -1);
+  l.subpart.assign(g.num_arcs(), -1);
+  for (int v = 0; v < g.n(); ++v) eng.wake(v);
+  std::vector<char> sent(g.n(), 0);
+  eng.run([&](int v) {
+    for (const auto& in : eng.inbox(v)) {
+      if (in.msg.tag != kInfo) continue;
+      const int a = g.arc_id(v, in.port);
+      l.part[a] = static_cast<int>(in.msg.a);
+      l.subpart[a] = static_cast<int>(in.msg.b);
+    }
+    if (sent[v]) return;
+    sent[v] = 1;
+    for (int port = 0; port < g.degree(v); ++port)
+      eng.send(v, port,
+               sim::Msg{kInfo, static_cast<std::uint64_t>(p.part_of[v]),
+                        static_cast<std::uint64_t>(d.subpart_of[v]), 0});
+  });
+  // Cross ports: same part, other sub-part.
+  l.cross_offset.assign(g.n() + 1, 0);
+  for (int v = 0; v < g.n(); ++v) {
+    for (int port = 0; port < g.degree(v); ++port) {
+      const int a = g.arc_id(v, port);
+      if (l.part[a] == p.part_of[v] && l.subpart[a] != d.subpart_of[v])
+        l.cross_port.push_back(port);
+    }
+    l.cross_offset[v + 1] = static_cast<int>(l.cross_port.size());
+  }
+  return l;
+}
+
 PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
                        const shortcut::SubPartDivision& d,
+                       const NeighborLabels& labels,
                        const shortcut::Shortcut& s,
                        const tree::SpanningForest& t, const Agg& agg,
                        const std::vector<std::uint64_t>& values,
                        const PaGivenConfig& cfg) {
   PW_CHECK(static_cast<int>(values.size()) == eng.graph().n());
-  Waveguide wg(eng, p, d, s, t, cfg, /*active=*/{});
+  Waveguide wg(eng, p, d, labels, s, t, cfg, /*active=*/{});
 
   PaGivenResult r;
   auto snap = eng.snap();
-  wg.announce();
   wg.run_wave();
   r.wave_stats = eng.since(snap);
   r.part_covered = wg.coverage();
@@ -489,13 +506,13 @@ PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
 VerifyResult verify_block_parameter(sim::Engine& eng,
                                     const graph::Partition& p,
                                     const shortcut::SubPartDivision& d,
+                                    const NeighborLabels& labels,
                                     const shortcut::Shortcut& s,
                                     const tree::SpanningForest& t,
                                     int b_target, const PaGivenConfig& cfg,
                                     const std::vector<char>& active) {
-  Waveguide wg(eng, p, d, s, t, cfg, active);
+  Waveguide wg(eng, p, d, labels, s, t, cfg, active);
   const auto snap = eng.snap();
-  wg.announce();
   wg.run_wave();
 
   // Lines 3-4: uninformed nodes object to their in-part neighbors.

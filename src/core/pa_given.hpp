@@ -28,6 +28,8 @@
 // All traffic is real engine traffic; no analytic charges in this module.
 #pragma once
 
+#include <span>
+
 #include "src/graph/partition.hpp"
 #include "src/shortcut/shortcut.hpp"
 #include "src/shortcut/subpart.hpp"
@@ -38,6 +40,41 @@
 namespace pw::core {
 
 enum class PaMode { Deterministic, Randomized };
+
+// What a node knows about its neighbours under KT0 once it has heard them
+// announce themselves: per arc, the part and sub-part of the node at the far
+// end. Part and sub-part ids are fixed for as long as a partition is
+// installed, so the labels are a per-partition structure like the division
+// and the shortcut: announced once (announce_labels) and read by every wave
+// and verification on that partition.
+struct NeighborLabels {
+  // Graph size and part count the labels were announced for (checked by
+  // check_matches, so labels of another graph or partition are rejected).
+  int n = 0;
+  int num_parts = 0;
+  std::vector<int> part;     // per arc g.arc_id(v, port): part of the far end
+  std::vector<int> subpart;  // per arc: sub-part of the far end
+  // Cross ports of v (same part, other sub-part), ascending: the entries
+  // cross_port[cross_offset[v] .. cross_offset[v + 1]).
+  std::vector<int> cross_offset;
+  std::vector<int> cross_port;
+
+  std::span<const int> cross_ports(int v) const {
+    const auto b = static_cast<std::size_t>(cross_offset[v]);
+    const auto e = static_cast<std::size_t>(cross_offset[v + 1]);
+    return {cross_port.data() + b, e - b};
+  }
+
+  // Aborts unless the labels were announced on a graph with g's node and arc
+  // counts for a partition with p's part count.
+  void check_matches(const graph::Graph& g, const graph::Partition& p) const;
+};
+
+// The KT0 bootstrap: every node sends its (part, sub-part) on every port
+// once — 2m messages; the engine counts two rounds, the sends and the reads
+// — and the cross ports are derived from what arrived.
+NeighborLabels announce_labels(sim::Engine& eng, const graph::Partition& p,
+                               const shortcut::SubPartDivision& d);
 
 struct PaGivenConfig {
   PaMode mode = PaMode::Deterministic;
@@ -77,9 +114,12 @@ struct PaGivenResult {
 };
 
 // Runs Algorithm 1. Requirements: p has leaders; d is a sub-part division of
-// p; s is a T-restricted shortcut for p on tree t (possibly empty).
+// p; labels were announced for (p, d); s is a T-restricted shortcut for p on
+// tree t (possibly empty). The announce is not repeated here: the result's
+// stats count the wave, gather and scatter only.
 PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
                        const shortcut::SubPartDivision& d,
+                       const NeighborLabels& labels,
                        const shortcut::Shortcut& s,
                        const tree::SpanningForest& t, const Agg& agg,
                        const std::vector<std::uint64_t>& values,
@@ -91,16 +131,21 @@ PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
 // failed coverage or has more than `b_target` blocks. Returns, per part,
 // whether the part is "good": fully covered with at most b_target blocks.
 //
+// The objection round and the wave's cross edges read the labels announced
+// for (p, d); the call sends no announce of its own.
+//
 // `active` (one entry per part; empty means every part) restricts the run to
 // the parts whose verdict the caller will read. Only active parts' nodes
-// announce and object, only their leaders start waves, and so only they
-// gather and scatter; every part still draws its randomized start delay, so
+// object, only their leaders start waves, and so only they gather and
+// scatter; every part still draws its randomized start delay, so
 // an active part starts exactly when it would with every part active. An
 // inactive part sends nothing and gets part_good = 0, blocks_counted = 0.
 // An active part's verdict depends on its own coverage, objections and block
 // roots alone (other parts only delay its tokens, and the wave drains to
 // quiescence), so it equals its verdict under the all-parts mask; only the
-// rounds and messages shrink.
+// rounds and messages shrink. An active part reads only the labels of its
+// own members, so its verdict is also the one it would reach if only active
+// parts' nodes had announced.
 struct VerifyResult {
   std::vector<char> part_good;
   std::vector<std::uint64_t> blocks_counted;
@@ -110,6 +155,7 @@ struct VerifyResult {
 VerifyResult verify_block_parameter(sim::Engine& eng,
                                     const graph::Partition& p,
                                     const shortcut::SubPartDivision& d,
+                                    const NeighborLabels& labels,
                                     const shortcut::Shortcut& s,
                                     const tree::SpanningForest& t,
                                     int b_target, const PaGivenConfig& cfg = {},

@@ -91,7 +91,8 @@ void PaSolver::build_shortcut() {
       dc.block_target = guess;
       dc.max_repetitions = cfg_.corefast_iters_per_guess;
       dc.skip_parts = frozen;
-      auto round = build_shortcut_det(*eng_, part_, st_.div, st_.t, st_.hp, dc);
+      auto round = build_shortcut_det(*eng_, part_, st_.div, st_.labels, st_.t,
+                                      st_.hp, dc);
       round_frozen = std::move(round.part_frozen);
       round_sc = std::move(round.sc);
     } else {
@@ -102,7 +103,8 @@ void PaSolver::build_shortcut() {
       cc.seed = rng_.next_u64();
       cc.mode = cfg_.mode;
       cc.skip_parts = frozen;  // parts served at smaller guesses sit out
-      auto round = build_shortcut_random(*eng_, part_, st_.div, st_.t, cc);
+      auto round =
+          build_shortcut_random(*eng_, part_, st_.div, st_.labels, st_.t, cc);
       round_frozen = std::move(round.part_frozen);
       round_sc = std::move(round.sc);
     }
@@ -127,6 +129,9 @@ void PaSolver::set_partition(graph::Partition p) {
   part_ = std::move(p);
   ensure_global();
   build_division();
+  const auto snap = eng_->snap();
+  st_.labels = announce_labels(*eng_, part_, st_.div);
+  st_.labels_stats = eng_->since(snap);
   build_shortcut();
   partition_ready_ = true;
 }
@@ -139,7 +144,8 @@ PaRunResult PaSolver::aggregate(const Agg& agg,
   pc.delay_range = std::max(1, shortcut::congestion(st_.sc));
   pc.seed = rng_.next_u64();
   const auto res =
-      pa_given(*eng_, part_, st_.div, st_.sc, st_.t, agg, values, pc);
+      pa_given(*eng_, part_, st_.div, st_.labels, st_.sc, st_.t, agg, values,
+               pc);
   PW_CHECK_MSG(res.all_covered(), "PA wave failed to cover a part");
   PaRunResult out;
   out.part_value = res.part_value;

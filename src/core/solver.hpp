@@ -45,7 +45,12 @@ struct PaStructures {
   int diameter_bound = 1;   // height of T (a 2-approximation of D)
   int final_guess = 0;      // κ at which the last part froze (0: no shortcut)
   std::vector<int> frozen_at_guess;  // per part
-  sim::PhaseStats tree_stats, division_stats, shortcut_stats;
+  // KT0 neighbour labels of the installed partition and division, announced
+  // once per set_partition and read by every verification and aggregate.
+  NeighborLabels labels;
+  // labels_stats is the announce alone (2m messages, two engine rounds);
+  // tree_stats and division_stats never include it.
+  sim::PhaseStats tree_stats, division_stats, labels_stats, shortcut_stats;
 };
 
 struct PaRunResult {
@@ -66,12 +71,16 @@ class PaSolver {
   explicit PaSolver(sim::Engine& eng, PaSolverConfig cfg = {});
 
   // Installs the partition PA queries will run against and builds the
-  // per-partition structures. Leaders must be known (Section 4's assumption;
-  // see pa_noleader.hpp / Algorithm 9 for dropping it). The partition is
-  // copied; repeated aggregate() calls reuse the structures. Every call
-  // rebuilds the division and the shortcut, even for a partition equal to
-  // the installed one, so a caller that already installed it skips the call
-  // (boruvka_mst reuses the merged partition as the next phase's).
+  // per-partition structures: the sub-part division, then the KT0 neighbour
+  // labels (one announce, 2m messages, the only one this partition pays),
+  // then the shortcut, whose verifications read the labels. Leaders
+  // must be known (Section 4's assumption; see pa_noleader.hpp / Algorithm 9
+  // for dropping it). The partition is copied; repeated aggregate() calls
+  // reuse the structures and announce nothing. Every call rebuilds the
+  // division, the labels and the shortcut, even for a partition equal to the
+  // installed one, so a caller that already installed it skips the call
+  // (boruvka_mst reuses the merged partition as the next phase's, and reads
+  // its fragment boundaries from structures().labels).
   void set_partition(graph::Partition p);
 
   // Solves one PA instance (Definition 1.1) on the installed partition.

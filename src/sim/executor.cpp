@@ -34,8 +34,9 @@ std::int64_t mono_ns() {
 
 #if defined(__linux__)
 // The watchdog needs TIMED parks, which std::atomic::wait cannot express, so
-// the wait it guards (the dispatch barrier) uses the futex syscall directly
-// — wait AND wake sides, never mixed with the std:: ones.
+// the waits it guards (the dispatch barrier, the last worker's wait on task
+// 0) use the futex syscall directly — wait AND wake sides, never mixed with
+// the std:: ones.
 // The generation park in worker_loop is not a deadlock class (the caller
 // always bumps it) and stays on std::atomic.
 static_assert(sizeof(std::atomic<int>) == sizeof(std::uint32_t));
@@ -121,7 +122,8 @@ void Executor::worker_loop(int idx) {
   std::uint64_t seen = 0;
   for (;;) {
     // WD-EXEMPT: not a deadlock class — the dispatching caller always bumps
-    // the generation (§9); the watchdog guards only the barrier wait.
+    // the generation (§9); the watchdog guards the barrier wait and the
+    // last worker's wait on task 0 (watch_task0).
     // PAIR(dispatch-generation): park on the dispatch publish
     generation_.wait(seen, std::memory_order_acquire);
     // PAIR(dispatch-generation): acquire the dispatch fields fn_/ctx_/...
@@ -144,9 +146,27 @@ void Executor::worker_loop(int idx) {
     progress_.fetch_add(1, std::memory_order_relaxed);
     // PAIR(dispatch-barrier): this worker's task writes, published to the
     // caller's barrier acquire
-    if (outstanding_.fetch_sub(1, std::memory_order_release) == 1)
+    if (outstanding_.fetch_sub(1, std::memory_order_release) == 1) {
       futex_wake_all(&outstanding_);
+      // The caller may still be inside task 0, where nobody else watches.
+      watch_task0(gen);
+    }
   }
+}
+
+void Executor::watch_task0(std::uint64_t gen) {
+  // Until task 0 of dispatch `gen` returns, the word holds gen - 1: every
+  // dispatch stores its own generation after its task 0. Swapping in
+  // kTask0Watched tells the caller that a wake is owed; if the caller got
+  // there first, task 0 is done and there is nothing to watch.
+  int before = static_cast<int>((gen - 1) & kTask0GenMask);
+  // PAIR(task0-done): RMW chain — claim the watch, or see task 0 done
+  if (!task0_done_.compare_exchange_strong(before, kTask0Watched,
+                                           std::memory_order_acq_rel))
+    return;
+  // PAIR(task0-done): subscribe to the caller's task-0 completion
+  while (task0_done_.load(std::memory_order_acquire) == kTask0Watched)
+    wait_watched(task0_done_, kTask0Watched, kPhaseBarrier, -1);
 }
 
 std::uint64_t Executor::progress_signature() const {
@@ -254,11 +274,23 @@ void Executor::parallel(int num_tasks, TaskFn fn, void* ctx) {
   num_tasks_ = num_tasks;
   outstanding_.store(static_cast<int>(workers_.size()), std::memory_order_relaxed);
   // PAIR(dispatch-generation): fn_/ctx_/num_tasks_ published to the workers
-  generation_.fetch_add(1, std::memory_order_release);
+  const std::uint64_t gen =
+      generation_.fetch_add(1, std::memory_order_release) + 1;
   generation_.notify_all();
+  // Task 0 runs here, on the caller; its phase is what the dump prints when
+  // the worker watching it (watch_task0) fires.
+  ThreadState& st = threads_state_[0];
+  st.phase.store(kPhaseStage1, std::memory_order_relaxed);
+  st.task.store(0, std::memory_order_relaxed);
   tl_task = 0;
   fn(ctx, 0);
   tl_task = -1;
+  st.phase.store(kPhaseIdle, std::memory_order_relaxed);
+  // PAIR(task0-done): RMW chain — task 0 returned; wake the worker only
+  // if it is already parked watching
+  if (task0_done_.exchange(static_cast<int>(gen & kTask0GenMask),
+                           std::memory_order_acq_rel) == kTask0Watched)
+    futex_wake_all(&task0_done_);
   wait_barrier();
 }
 

@@ -138,6 +138,9 @@ class Executor {
 
   void worker_loop(int idx);
   void wait_barrier();
+  // The last worker to finish dispatch `gen` waits here, watched, until the
+  // caller's task 0 has returned, so a task 0 that never returns is seen.
+  void watch_task0(std::uint64_t gen);
 
   // Blocks until a.load(acquire) != expected and returns the observed value,
   // parking on a timed futex when the watchdog is armed: a full window with
@@ -170,6 +173,15 @@ class Executor {
   // generation_/outstanding_, the threads_state_ header tick() reads, and
   // the once-per-process fired_ flag)
   std::atomic<std::uint64_t> progress_{0};
+  // Low 31 bits of the last dispatch generation whose task 0 (run by the
+  // caller) has returned, or kTask0Watched while the last worker of the
+  // running dispatch is parked on it in the watched wait — so while task 0
+  // runs some thread is in a timed, watched wait, and the caller, which
+  // swaps in the generation after task 0, wakes only a parked watcher.
+  static constexpr std::uint64_t kTask0GenMask = 0x7fffffff;
+  static constexpr int kTask0Watched = -1;
+  // SHARED-LINE(one caller RMW per dispatch, at most one worker RMW)
+  std::atomic<int> task0_done_{0};
   std::vector<ThreadState> threads_state_;
   std::atomic<int> fired_{0};  // first firing thread wins; others park
   void (*dump_fn_)(void*) = nullptr;

@@ -77,12 +77,14 @@ struct DetPipeline {
   tree::SpanningForest t;
   tree::HeavyPaths hp;
   shortcut::SubPartDivision div;
+  NeighborLabels labels;
 
   DetPipeline(const Graph& g, const Partition& p, int diameter)
       : eng(g),
         t(tree::build_bfs_tree(eng, 0)),
         hp(tree::heavy_path_decompose(eng, t)),
-        div(shortcut::build_subpart_division_det(eng, p, diameter)) {}
+        div(shortcut::build_subpart_division_det(eng, p, diameter)),
+        labels(announce_labels(eng, p, div)) {}
 };
 
 TEST(DetShortcut, BuildsValidFrozenShortcut) {
@@ -93,7 +95,8 @@ TEST(DetShortcut, BuildsValidFrozenShortcut) {
   DetShortcutConfig dc;
   dc.congestion_cap = 8;
   dc.block_target = 8;
-  const auto res = build_shortcut_det(pipe.eng, p, pipe.div, pipe.t, pipe.hp, dc);
+  const auto res = build_shortcut_det(pipe.eng, p, pipe.div, pipe.labels,
+                                      pipe.t, pipe.hp, dc);
   EXPECT_TRUE(res.all_frozen());
   shortcut::validate_shortcut(g, pipe.t, p, res.sc);
   const auto blocks = shortcut::blocks_per_part(g, pipe.t, p, res.sc);
@@ -109,7 +112,8 @@ TEST(DetShortcut, HighCapGivesOneBlock) {
   DetShortcutConfig dc;
   dc.congestion_cap = p.num_parts + 1;
   dc.block_target = p.num_parts + 1;
-  const auto res = build_shortcut_det(pipe.eng, p, pipe.div, pipe.t, pipe.hp, dc);
+  const auto res = build_shortcut_det(pipe.eng, p, pipe.div, pipe.labels,
+                                      pipe.t, pipe.hp, dc);
   EXPECT_TRUE(res.all_frozen());
   const auto blocks = shortcut::blocks_per_part(g, pipe.t, p, res.sc);
   for (int i = 0; i < p.num_parts; ++i) EXPECT_LE(blocks[i], 1);
@@ -125,7 +129,8 @@ TEST(DetShortcut, FullyDeterministic) {
     dc.congestion_cap = 4;
     dc.block_target = 4;
     const auto res =
-        build_shortcut_det(pipe.eng, p, pipe.div, pipe.t, pipe.hp, dc);
+        build_shortcut_det(pipe.eng, p, pipe.div, pipe.labels, pipe.t,
+                           pipe.hp, dc);
     return std::pair{res.sc.parts_on, pipe.eng.messages()};
   };
   EXPECT_EQ(run(), run());

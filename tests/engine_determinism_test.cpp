@@ -37,12 +37,16 @@ struct Golden {
 // The mst_* counts of every row were re-captured when Borůvka began reusing
 // the merged partition as the next phase's fragment partition (one
 // set_partition per phase, not two); the bfs_* and nl_* columns did not move.
+// The mst_* and nl_* counts of every row were re-captured when PaSolver began
+// announcing the KT0 neighbour labels once per set_partition (verification,
+// aggregation and Borůvka's fragment boundaries read them instead of
+// announcing again); the bfs_* columns and the trace hash did not move.
 constexpr Golden kGolden[] = {
-    {"general(GNM)", 8, 3072, 143, 63117, 8950, 975919},
-    {"planar(grid)", 32, 960, 428, 22407, 2744, 127153},
-    {"genus1(torus)", 14, 576, 213, 12670, 2066, 63482},
-    {"treewidth(k-tree,k=3)", 6, 2292, 116, 45686, 2156, 303604},
-    {"pathwidth(caterpillar)", 130, 766, 1958, 21554, 2405, 118062},
+    {"general(GNM)", 8, 3072, 133, 47757, 8640, 725516},
+    {"planar(grid)", 32, 960, 418, 17607, 2694, 103153},
+    {"genus1(torus)", 14, 576, 203, 9790, 2004, 51950},
+    {"treewidth(k-tree,k=3)", 6, 2292, 106, 34226, 2078, 233550},
+    {"pathwidth(caterpillar)", 130, 766, 1948, 17724, 2363, 101976},
 };
 
 std::vector<Instance> instances() {

@@ -508,6 +508,33 @@ TEST(Watchdog, ArmedRunCompletes) {
   });
 }
 
+// The same wedge in shard 0, whose callbacks the dispatching thread runs
+// itself: the workers finish their shards, the last of them parks in the
+// watched wait on task 0, and the dump shows thread 0 mid-sweep.
+[[maybe_unused]] void run_with_wedged_shard_zero_callback(const Graph& g) {
+  const ExecutionPolicy policy{.num_threads = 4, .watchdog_ms = 1000};
+  Engine eng(g, policy);
+  for (int v = 0; v < g.n(); ++v) eng.wake(v);
+  eng.run([&](int v) {
+    if (v == 3)  // shard 0 of grid(8, 8) under 4 shards: nodes 0..15
+      for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
+    for (int p = 0; p < g.degree(v); ++p) eng.send(v, p, Msg{1, 1, 0, 0});
+  });
+}
+
+TEST(Watchdog, WedgedShardZeroCallbackAbortsWithDiagnostics) {
+#ifdef PW_UNDER_TSAN
+  GTEST_SKIP() << "death test forks after threads exist; the watchdog dump "
+                  "intentionally reads racing counters TSan would flag";
+#else
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const Graph g = graph::gen::grid(8, 8);
+  EXPECT_DEATH(run_with_wedged_shard_zero_callback(g),
+               "PW_WATCHDOG: no executor progress.*thread [123] wedged in "
+               "barrier-wait.*thread 0: phase=stage1-sweep task=0");
+#endif
+}
+
 TEST(Watchdog, WedgedCallbackAbortsWithDiagnostics) {
 #ifdef PW_UNDER_TSAN
   GTEST_SKIP() << "death test forks after threads exist; the watchdog dump "

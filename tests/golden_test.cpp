@@ -20,6 +20,14 @@
 // PA #2 as the next phase's fragment partition instead of rebuilding it
 // (one set_partition per phase, not two); weights, phases and the
 // SetPartition* goldens did not move.
+//
+// The rounds and messages of all four Borůvka tests and the shortcut rounds
+// and messages of all four SetPartition* tests were re-captured when the
+// KT0 neighbour labels became a per-partition structure (PaSolver announces
+// them once per set_partition; verification, aggregation and Borůvka's
+// fragment boundaries read them) instead of an announce per verification,
+// per aggregate and per Borůvka phase; weights, phases, tree and division
+// stats, guesses and both hashes did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -102,16 +110,16 @@ void expect_mst(std::uint64_t graph_seed, PaMode mode, const MstGolden& want) {
 }
 
 TEST(Golden, BoruvkaRandomizedSeedA) {
-  expect_mst(101, PaMode::Randomized, {59346003, 4, 1168, 119178});
+  expect_mst(101, PaMode::Randomized, {59346003, 4, 1112, 81964});
 }
 TEST(Golden, BoruvkaRandomizedSeedB) {
-  expect_mst(202, PaMode::Randomized, {59703355, 4, 1120, 117126});
+  expect_mst(202, PaMode::Randomized, {59703355, 4, 1066, 81516});
 }
 TEST(Golden, BoruvkaDeterministicSeedA) {
-  expect_mst(101, PaMode::Deterministic, {59346003, 4, 3242, 137147});
+  expect_mst(101, PaMode::Deterministic, {59346003, 4, 3214, 111947});
 }
 TEST(Golden, BoruvkaDeterministicSeedB) {
-  expect_mst(202, PaMode::Deterministic, {59703355, 4, 3184, 135523});
+  expect_mst(202, PaMode::Deterministic, {59703355, 4, 3156, 110323});
 }
 
 struct SolverGolden {
@@ -188,25 +196,25 @@ graph::Partition solver_gnm_partition(const graph::Graph& g) {
 TEST(Golden, SetPartitionGridRandomized) {
   const auto g = solver_grid();
   expect_solver(g, solver_grid_partition(g), PaMode::Randomized,
-                {66ULL, 11759ULL, 12ULL, 1266ULL, 87ULL, 4687ULL, 1,
+                {66ULL, 11759ULL, 12ULL, 1266ULL, 85ULL, 2855ULL, 1,
                  1793543852588271018ULL, 4739230769909539463ULL});
 }
 TEST(Golden, SetPartitionGridDeterministic) {
   const auto g = solver_grid();
   expect_solver(g, solver_grid_partition(g), PaMode::Deterministic,
-                {174ULL, 43094ULL, 1055ULL, 31687ULL, 115ULL, 4861ULL, 1,
+                {174ULL, 43094ULL, 1055ULL, 31687ULL, 113ULL, 3029ULL, 1,
                  1793543852588271018ULL, 14264213053772083567ULL});
 }
 TEST(Golden, SetPartitionGnmRandomized) {
   const auto g = solver_gnm();
   expect_solver(g, solver_gnm_partition(g), PaMode::Randomized,
-                {14ULL, 11718ULL, 4ULL, 874ULL, 393ULL, 30400ULL, 4,
+                {14ULL, 11718ULL, 4ULL, 874ULL, 377ULL, 20718ULL, 4,
                  15212912969186006675ULL, 16452015111338582752ULL});
 }
 TEST(Golden, SetPartitionGnmDeterministic) {
   const auto g = solver_gnm();
   expect_solver(g, solver_gnm_partition(g), PaMode::Deterministic,
-                {26ULL, 12567ULL, 357ULL, 16655ULL, 66ULL, 4660ULL, 1,
+                {26ULL, 12567ULL, 357ULL, 16655ULL, 64ULL, 2260ULL, 1,
                  8613595185681582806ULL, 6924345991966743494ULL});
 }
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 
 #include "src/core/corefast.hpp"
+#include "src/core/detshortcut.hpp"
 #include "src/core/pa_given.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/properties.hpp"
 #include "src/tree/bfs.hpp"
+#include "src/tree/heavypath.hpp"
 
 namespace pw::core {
 namespace {
@@ -27,6 +29,7 @@ struct Pipeline {
   sim::Engine eng;
   tree::SpanningForest t;
   shortcut::SubPartDivision div;
+  NeighborLabels labels;
   shortcut::Shortcut sc;
 
   Pipeline(const Graph& g, const Partition& p, int diameter, Rng& rng,
@@ -35,6 +38,7 @@ struct Pipeline {
         t(tree::build_bfs_tree(eng, 0)),
         div(shortcut::build_subpart_division_random(eng, p, std::max(1, diameter),
                                                     rng)),
+        labels(announce_labels(eng, p, div)),
         sc(with_trivial_shortcut
                ? shortcut::trivial_whole_tree_shortcut(
                      g, t, p, std::max(1, diameter))
@@ -59,7 +63,8 @@ void expect_pa_correct(const Graph& g, Partition p, PaMode mode,
     cfg.delay_range = mode == PaMode::Randomized ? 8 : 0;
     cfg.seed = seed;
     const auto res =
-        pa_given(pipe.eng, p, pipe.div, pipe.sc, pipe.t, agg, values, cfg);
+        pa_given(pipe.eng, p, pipe.div, pipe.labels, pipe.sc, pipe.t, agg,
+                 values, cfg);
     const auto ref = reference_pa(p, agg, values);
     ASSERT_TRUE(res.all_covered());
     for (int i = 0; i < p.num_parts; ++i)
@@ -135,8 +140,8 @@ TEST(PaGiven, MessageComplexityLinearInEdgesWithoutShortcut) {
   Pipeline pipe(g, p, diameter, rng, false);
   std::vector<std::uint64_t> values(g.n(), 1);
   const auto snap = pipe.eng.snap();
-  const auto res = pa_given(pipe.eng, p, pipe.div, pipe.sc, pipe.t, agg::sum(),
-                            values, {});
+  const auto res = pa_given(pipe.eng, p, pipe.div, pipe.labels, pipe.sc,
+                            pipe.t, agg::sum(), values, {});
   ASSERT_TRUE(res.all_covered());
   const auto stats = pipe.eng.since(snap);
   // Announce (2m) + tokens (<= 2m + 2n) + acks (<= n + ...) + gather/scatter
@@ -158,7 +163,8 @@ TEST(PaGiven, TrivialShortcutGivesOneBlockToBigParts) {
 
   std::vector<std::uint64_t> values(g.n(), 1);
   const auto res =
-      pa_given(pipe.eng, p, pipe.div, sc, pipe.t, agg::sum(), values, {});
+      pa_given(pipe.eng, p, pipe.div, pipe.labels, sc, pipe.t, agg::sum(),
+               values, {});
   ASSERT_TRUE(res.all_covered());
   for (int i = 0; i < p.num_parts; ++i) {
     EXPECT_EQ(res.part_value[i], 30u);
@@ -174,7 +180,8 @@ TEST(PaGiven, VerifyAcceptsGoodShortcut) {
   Pipeline pipe(g, p, 33, rng, false);
   auto sc = shortcut::trivial_whole_tree_shortcut(g, pipe.t, p, 10);
   const auto vr =
-      verify_block_parameter(pipe.eng, p, pipe.div, sc, pipe.t, 1, {});
+      verify_block_parameter(pipe.eng, p, pipe.div, pipe.labels, sc, pipe.t,
+                             1, {});
   for (int i = 0; i < p.num_parts; ++i) {
     EXPECT_TRUE(vr.part_good[i]) << i;
     EXPECT_LE(vr.blocks_counted[i], 1u);
@@ -191,6 +198,7 @@ TEST(PaGiven, VerifyRejectsWhenBlockBudgetTooSmall) {
   sim::Engine eng(g);
   auto t = tree::build_bfs_tree(eng, 0);
   auto div = shortcut::build_subpart_division_random(eng, p, 3, rng);
+  const auto labels = announce_labels(eng, p, div);
   auto sc = shortcut::Shortcut::empty(g.n());
   sc.parts_on[2] = {0};
   sc.parts_on[3] = {0};
@@ -198,12 +206,12 @@ TEST(PaGiven, VerifyRejectsWhenBlockBudgetTooSmall) {
   shortcut::annotate_block_roots(g, t, sc);
   EXPECT_EQ(shortcut::block_parameter(g, t, p, sc), 2);
 
-  const auto vr = verify_block_parameter(eng, p, div, sc, t, 1, {});
+  const auto vr = verify_block_parameter(eng, p, div, labels, sc, t, 1, {});
   // The wave may touch both blocks; budget 1 must reject if it counted 2.
   if (vr.blocks_counted[0] >= 2) {
     EXPECT_FALSE(vr.part_good[0]);
   }
-  const auto vr2 = verify_block_parameter(eng, p, div, sc, t, 2, {});
+  const auto vr2 = verify_block_parameter(eng, p, div, labels, sc, t, 2, {});
   EXPECT_TRUE(vr2.part_good[0]);
 }
 
@@ -241,12 +249,14 @@ void expect_masked_verify_matches_full(const Graph& g, Partition p,
       cfg.mode = mode;
       cfg.delay_range = mode == PaMode::Randomized ? 2 : 0;
       cfg.seed = seed;
-      const auto full = verify_block_parameter(pipe.eng, p, pipe.div, candidate,
-                                               pipe.t, b_target, cfg);
+      const auto full =
+          verify_block_parameter(pipe.eng, p, pipe.div, pipe.labels, candidate,
+                                 pipe.t, b_target, cfg);
       for (int i = 0; i < np; ++i) (full.part_good[i] ? good : bad) += 1;
       for (const auto& mask : masks) {
-        const auto vr = verify_block_parameter(pipe.eng, p, pipe.div, candidate,
-                                               pipe.t, b_target, cfg, mask);
+        const auto vr =
+            verify_block_parameter(pipe.eng, p, pipe.div, pipe.labels,
+                                   candidate, pipe.t, b_target, cfg, mask);
         for (int i = 0; i < np; ++i) {
           if (mask[i]) {
             EXPECT_EQ(vr.part_good[i], full.part_good[i]) << "part " << i;
@@ -298,9 +308,56 @@ TEST(PaGiven, VerifyRejectsMaskOfWrongSize) {
   Rng rng(23);
   Pipeline pipe(g, p, 8, rng, true);
   const std::vector<char> mask(p.num_parts + 1, 1);
-  EXPECT_DEATH(verify_block_parameter(pipe.eng, p, pipe.div, pipe.sc, pipe.t,
-                                      1, {}, mask),
+  EXPECT_DEATH(verify_block_parameter(pipe.eng, p, pipe.div, pipe.labels,
+                                      pipe.sc, pipe.t, 1, {}, mask),
                "active mask has");
+}
+
+// Labels announced for another graph or another partition are rejected at
+// every entry point that reads them, before any traffic is sent.
+TEST(PaGiven, RejectsLabelsOfAnotherGraphOrPartition) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Graph g = graph::gen::grid(4, 6);
+  Partition p = graph::grid_row_partition(4, 6);
+  p.elect_min_id_leaders();
+  Rng rng(24);
+  Pipeline pipe(g, p, 8, rng, true);
+  std::vector<std::uint64_t> values(g.n(), 1);
+
+  // Same graph, whole-graph partition: the part count differs.
+  Partition whole = graph::whole_partition(g);
+  whole.elect_min_id_leaders();
+  const auto whole_div =
+      shortcut::build_subpart_division_random(pipe.eng, whole, 8, rng);
+  const auto whole_labels = announce_labels(pipe.eng, whole, whole_div);
+  // Another graph: node and arc counts differ.
+  Graph other = graph::gen::grid(5, 6);
+  Partition other_p = graph::grid_row_partition(5, 6);
+  other_p.elect_min_id_leaders();
+  Pipeline other_pipe(other, other_p, 9, rng, false);
+
+  const char* kWant = "neighbor labels were announced for n=";
+  EXPECT_DEATH(pa_given(pipe.eng, p, pipe.div, whole_labels, pipe.sc, pipe.t,
+                        agg::sum(), values),
+               "announced for n=24, 76 arcs, 1 parts but are used on n=24, "
+               "76 arcs, 4 parts");
+  EXPECT_DEATH(pa_given(pipe.eng, p, pipe.div, other_pipe.labels, pipe.sc,
+                        pipe.t, agg::sum(), values),
+               "announced for n=30, 98 arcs, 5 parts but are used on n=24, "
+               "76 arcs, 4 parts");
+  EXPECT_DEATH(verify_block_parameter(pipe.eng, p, pipe.div, whole_labels,
+                                      pipe.sc, pipe.t, 1),
+               kWant);
+  CoreFastConfig cc;
+  EXPECT_DEATH(
+      build_shortcut_random(pipe.eng, p, pipe.div, other_pipe.labels, pipe.t,
+                            cc),
+      kWant);
+  const auto hp = tree::heavy_path_decompose(pipe.eng, pipe.t);
+  DetShortcutConfig dc;
+  EXPECT_DEATH(build_shortcut_det(pipe.eng, p, pipe.div, whole_labels, pipe.t,
+                                  hp, dc),
+               kWant);
 }
 
 TEST(PaGiven, StatsPhasesAllAccounted) {
@@ -311,8 +368,8 @@ TEST(PaGiven, StatsPhasesAllAccounted) {
   Pipeline pipe(g, p, 14, rng, true);
   std::vector<std::uint64_t> values(g.n(), 2);
   const auto before = pipe.eng.snap();
-  const auto res = pa_given(pipe.eng, p, pipe.div, pipe.sc, pipe.t, agg::sum(),
-                            values, {});
+  const auto res = pa_given(pipe.eng, p, pipe.div, pipe.labels, pipe.sc,
+                            pipe.t, agg::sum(), values, {});
   const auto total = pipe.eng.since(before);
   EXPECT_EQ(res.total().rounds, total.rounds);
   EXPECT_EQ(res.total().messages, total.messages);

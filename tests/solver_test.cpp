@@ -89,7 +89,8 @@ TEST(CoreFast, BuildFreezesEveryPart) {
   cc.congestion_cap = 16;
   cc.block_target = 16;
   cc.seed = 99;
-  const auto res = build_shortcut_random(eng, p, div, t, cc);
+  const auto labels = announce_labels(eng, p, div);
+  const auto res = build_shortcut_random(eng, p, div, labels, t, cc);
   EXPECT_TRUE(res.all_frozen());
   shortcut::validate_shortcut(g, t, p, res.sc);
   // Accumulated congestion stays within iterations * cap.
@@ -113,7 +114,8 @@ TEST(CoreFast, SkipPartsReceiveNothing) {
   cc.congestion_cap = 8;
   cc.block_target = 8;
   cc.skip_parts = {1, 0, 1, 0};
-  const auto res = build_shortcut_random(eng, p, div, t, cc);
+  const auto labels = announce_labels(eng, p, div);
+  const auto res = build_shortcut_random(eng, p, div, labels, t, cc);
   for (int v = 0; v < g.n(); ++v)
     for (int part : res.sc.parts_on[v]) {
       EXPECT_NE(part, 0);
@@ -237,6 +239,77 @@ TEST(Solver, NoSubpartsStillMeetsBlockTargets) {
   const auto blocks = shortcut::blocks_per_part(g, st.t, p, st.sc);
   for (int i = 0; i < p.num_parts; ++i)
     EXPECT_LE(blocks[i], 3 * std::max(1, st.frozen_at_guess[i]));
+}
+
+// The KT0 labels are a per-partition structure: set_partition announces
+// once (one message per arc), the labels name every arc's far end, the
+// cross ports are exactly the same-part, other-sub-part arcs, and nothing
+// outside the four stats of structures() was sent. A later aggregate reads
+// the labels without touching them.
+void expect_labels_announced_once(const Graph& g, Partition p, PaMode mode) {
+  p.elect_min_id_leaders();
+  sim::Engine eng(g);
+  PaSolverConfig cfg;
+  cfg.mode = mode;
+  cfg.seed = 31;
+  PaSolver solver(eng, cfg);
+  solver.set_partition(p);
+  const auto& st = solver.structures();
+  const auto& l = st.labels;
+
+  EXPECT_EQ(st.labels_stats.messages,
+            static_cast<std::uint64_t>(g.num_arcs()));  // 2m
+  EXPECT_EQ(st.labels_stats.rounds, 2u);  // the send round, then the read
+  sim::PhaseStats sum = st.tree_stats;
+  sum += st.division_stats;
+  sum += st.labels_stats;
+  sum += st.shortcut_stats;
+  EXPECT_EQ(eng.messages(), sum.messages);
+  EXPECT_EQ(eng.rounds(), sum.rounds);
+
+  EXPECT_EQ(l.n, g.n());
+  EXPECT_EQ(l.num_parts, p.num_parts);
+  ASSERT_EQ(l.part.size(), static_cast<std::size_t>(g.num_arcs()));
+  ASSERT_EQ(l.subpart.size(), static_cast<std::size_t>(g.num_arcs()));
+  ASSERT_EQ(l.cross_offset.size(), static_cast<std::size_t>(g.n() + 1));
+  int crossing = 0;
+  for (int v = 0; v < g.n(); ++v) {
+    std::vector<int> want_cross;
+    for (int port = 0; port < g.degree(v); ++port) {
+      const int a = g.arc_id(v, port);
+      const int to = g.arcs(v)[port].to;
+      EXPECT_EQ(l.part[a], p.part_of[to]) << "arc " << a;
+      EXPECT_EQ(l.subpart[a], st.div.subpart_of[to]) << "arc " << a;
+      if (p.part_of[to] == p.part_of[v] &&
+          st.div.subpart_of[to] != st.div.subpart_of[v])
+        want_cross.push_back(port);
+    }
+    const auto got = l.cross_ports(v);
+    EXPECT_EQ(std::vector<int>(got.begin(), got.end()), want_cross)
+        << "node " << v;
+    crossing += static_cast<int>(want_cross.size());
+  }
+  EXPECT_EQ(static_cast<int>(l.cross_port.size()), crossing);
+
+  const auto before = l.part;
+  const auto before_cross = l.cross_port;
+  solver.aggregate(agg::sum(), std::vector<std::uint64_t>(g.n(), 1));
+  EXPECT_EQ(solver.structures().labels.part, before);
+  EXPECT_EQ(solver.structures().labels.cross_port, before_cross);
+}
+
+TEST(PaSolverTest, AnnouncesOncePerPartition) {
+  Rng rng(57);
+  const Graph gnm = graph::gen::random_connected(200, 600, rng);
+  const Graph grid = graph::gen::grid(9, 14);
+  for (const Graph* g : {&gnm, &grid}) {
+    std::vector<Partition> parts{graph::singleton_partition(*g),
+                                 graph::random_bfs_partition(*g, 12, rng),
+                                 graph::whole_partition(*g)};
+    for (const auto& p : parts)
+      for (const PaMode mode : {PaMode::Randomized, PaMode::Deterministic})
+        expect_labels_announced_once(*g, p, mode);
+  }
 }
 
 }  // namespace

@@ -389,7 +389,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("files", nargs="*",
                     help="files to audit (default: src/sim/*.{hpp,cpp})")
-    ap.add_argument("--min-groups", type=int, default=5,
+    ap.add_argument("--min-groups", type=int, default=6,
                     help="minimum PAIR groups (anti-vacuous floor)")
     ap.add_argument("--write-map", metavar="PATH",
                     help="emit the pairing registry markdown to PATH")
