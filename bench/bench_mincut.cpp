@@ -37,12 +37,14 @@ void run() {
     // phases — the bulk of the work — not just the outer accounting.
     for (const int threads : thread_sweep(g.n()))
       for (double eps : {1.0, 0.5, 0.25}) {
-        sim::Engine eng(g, sim::ExecutionPolicy{threads});
-        core::PaSolverConfig cfg;
-        cfg.seed = 37;
-        const auto t0 = now_ns();
-        const auto res = apps::approx_min_cut(eng, eps, cfg);
-        const auto wall_ns = now_ns() - t0;
+        const auto [res, wall_ns] = median_of_reps([&] {
+          sim::Engine eng(g, sim::ExecutionPolicy{threads});
+          core::PaSolverConfig cfg;
+          cfg.seed = 37;
+          const auto t0 = now_ns();
+          auto r = apps::approx_min_cut(eng, eps, cfg);
+          return std::pair{std::move(r), now_ns() - t0};
+        });
         table.add_row({name, fd(eps), fm(static_cast<std::uint64_t>(threads)),
                        fm(static_cast<std::uint64_t>(exact)),
                        fm(static_cast<std::uint64_t>(res.cut_value)),
@@ -62,6 +64,7 @@ void run() {
              {"trials", res.trials},
              {"rounds", res.stats.rounds},
              {"messages", res.stats.messages},
+             {"reps", kAppReps},
              {"wall_ns", wall_ns},
              {"ns_per_message",
               static_cast<double>(wall_ns) /
@@ -78,7 +81,8 @@ void run() {
 
   table.print(
       "Corollary 1.4 — (1+eps)-approximate min-cut: quality vs Stoer-Wagner "
-      "and the poly(1/eps) cost growth (trials = tree-packing samples)");
+      "and the poly(1/eps) cost growth (trials = tree-packing samples; ms is "
+      "the median of 5 runs)");
   json.write("BENCH_mincut.json");
 }
 

@@ -48,6 +48,7 @@ void run() {
            {"select_rounds", res.select_stats.rounds},
            {"select_messages", res.select_stats.messages},
            {"phases", res.phases},
+           {"reps", kAppReps},
            {"wall_ns", wall_ns},
            {"ns_per_message",
             static_cast<double>(wall_ns) /
@@ -64,20 +65,24 @@ void run() {
       for (const auto strat :
            {Strat{"ours", core::PaStrategy::Ours},
             Strat{"no-subparts", core::PaStrategy::NoSubparts}}) {
-        sim::Engine eng(g, policy);
-        core::PaSolverConfig cfg;
-        cfg.strategy = strat.s;
-        cfg.seed = 31;
-        const auto t0 = now_ns();
-        const auto res = apps::boruvka_mst(eng, cfg);
-        report(strat.name, threads, res, now_ns() - t0);
+        const auto [res, wall_ns] = median_of_reps([&] {
+          sim::Engine eng(g, policy);
+          core::PaSolverConfig cfg;
+          cfg.strategy = strat.s;
+          cfg.seed = 31;
+          const auto t0 = now_ns();
+          auto r = apps::boruvka_mst(eng, cfg);
+          return std::pair{std::move(r), now_ns() - t0};
+        });
+        report(strat.name, threads, res, wall_ns);
       }
-      {
+      const auto [res, wall_ns] = median_of_reps([&] {
         sim::Engine eng(g, policy);
         const auto t0 = now_ns();
-        const auto res = apps::ghs_style_mst(eng);
-        report("ghs-style", threads, res, now_ns() - t0);
-      }
+        auto r = apps::ghs_style_mst(eng);
+        return std::pair{std::move(r), now_ns() - t0};
+      });
+      report("ghs-style", threads, res, wall_ns);
     }
   };
 
@@ -109,7 +114,8 @@ void run() {
       "baseline (fragment-tree-only coordination, Õ(m) messages, Θ(n)-round "
       "phases) and the message-suboptimal no-subparts strategy. 'select' "
       "columns isolate the min-outgoing-edge coordination per run; totals "
-      "include per-phase structure (re)construction");
+      "include per-phase structure (re)construction; ms is the median of 5 "
+      "runs");
   json.write("BENCH_mst.json");
 }
 

@@ -107,12 +107,8 @@ NoLeaderResult pa_noleader(sim::Engine& eng, const graph::Partition& p,
   }
 
   // Line 10: ordinary PA on the coarsened partition (= input partition,
-  // with elected leaders).
-  graph::Partition final_p = graph::Partition::from_labels(pseudo);
-  final_p.leader.assign(final_p.num_parts, -1);
-  for (int v = 0; v < g.n(); ++v)
-    if (pseudo[v] == v) final_p.leader[final_p.part_of[v]] = v;
-  solver.set_partition(final_p);
+  // with elected leaders). The loop always exits with it already installed
+  // as its last pseudo-partition, so its structures are reused.
   const auto res = solver.aggregate(agg, values);
 
   NoLeaderResult out;

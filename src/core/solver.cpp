@@ -65,6 +65,10 @@ void PaSolver::build_division() {
 void PaSolver::build_shortcut() {
   const auto snap = eng_->snap();
   const auto& g = eng_->graph();
+  // Resume one guess below where the previous partition stopped. Every node
+  // knows that guess (the loop moves all parts in lockstep and ends on one
+  // global all-frozen test), so the start needs no agreement inside a part.
+  const int first_guess = std::max(1, st_.final_guess / 2);
   st_.sc = shortcut::Shortcut::empty(g.n());
   st_.frozen_at_guess.assign(part_.num_parts, 0);
   st_.final_guess = 0;
@@ -80,8 +84,7 @@ void PaSolver::build_shortcut() {
   auto all_frozen = [&] {
     return std::all_of(frozen.begin(), frozen.end(), [](char c) { return c; });
   };
-  for (int guess = std::max(1, cfg_.initial_guess); !all_frozen();
-       guess *= 2) {
+  for (int guess = first_guess; !all_frozen(); guess *= 2) {
     PW_CHECK_MSG(guess <= 4 * g.n(), "shortcut doubling failed to converge");
     std::vector<char> round_frozen;
     shortcut::Shortcut round_sc;

@@ -4,10 +4,13 @@
 // Section 2.2) and the per-partition structures (sub-part division +
 // T-restricted shortcut). Since the optimal block parameter b and congestion
 // c are unknown, the shortcut is built with the doubling trick the paper
-// describes in Section 1.3: guesses κ = 1, 2, 4, ... are tried, parts whose
+// describes in Section 1.3: guesses κ, 2κ, 4κ, ... are tried, parts whose
 // shortcut verifies (Algorithm 2) freeze at their guess, and the rest
-// continue — so every part performs as well as the best shortcut the graph
-// admits for it.
+// continue. A solver's first partition starts at κ = 1; every later one
+// resumes at κ = max(1, final_guess / 2) of the partition before it. The
+// final guess is ≤ 2·max(b, c) w.h.p. for the (b, c) the graph admits, so
+// half of it keeps Theorem 1.2's Õ(bD + c) rounds, while the guesses below
+// it, which on a coarsened partition mostly freeze nothing, are skipped.
 //
 // Strategies select between the paper's algorithm and the baselines the
 // paper argues against (Section 3.1):
@@ -33,8 +36,6 @@ struct PaSolverConfig {
   PaStrategy strategy = PaStrategy::Ours;
   std::uint64_t seed = 1;
   int corefast_iters_per_guess = 4;
-  // Starting κ for the doubling trick (raise when the caller knows a bound).
-  int initial_guess = 1;
 };
 
 struct PaStructures {
@@ -73,7 +74,9 @@ class PaSolver {
   // Installs the partition PA queries will run against and builds the
   // per-partition structures: the sub-part division, then the KT0 neighbour
   // labels (one announce, 2m messages, the only one this partition pays),
-  // then the shortcut, whose verifications read the labels. Leaders
+  // then the shortcut, whose verifications read the labels. The shortcut's
+  // doubling resumes at half the final guess of the partition installed
+  // before (at 1 on the first call), so no part freezes below it. Leaders
   // must be known (Section 4's assumption; see pa_noleader.hpp / Algorithm 9
   // for dropping it). The partition is copied; repeated aggregate() calls
   // reuse the structures and announce nothing. Every call rebuilds the

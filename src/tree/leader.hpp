@@ -10,9 +10,10 @@
 //     giving O(D) rounds and O(m log n) messages — matching [27]'s budget.
 //   * Deterministic mode uses the node id as priority. This is
 //     deterministic and O(D) rounds; its message complexity is O(m log n)
-//     for random id layouts (all our instances) but Θ(mn) against an
-//     adversarial id assignment — the full Kutten et al. machinery is the
-//     cited substitute (see DESIGN.md §2).
+//     for random id layouts but Θ(mn) against an adversarial id assignment,
+//     such as gen::path(n), whose increasing ids cost exactly n² − 1
+//     messages — the full Kutten et al. machinery is the cited substitute
+//     (see DESIGN.md §2).
 //
 // The elected leader is the node with the minimum (priority, id) pair.
 #pragma once

@@ -28,6 +28,14 @@
 // fragment boundaries read them) instead of an announce per verification,
 // per aggregate and per Borůvka phase; weights, phases, tree and division
 // stats, guesses and both hashes did not move.
+//
+// The rounds and messages of BoruvkaRandomizedSeedB were re-captured when
+// PaSolver began resuming the shortcut doubling at half the previous
+// partition's final guess instead of at 1: its 2-part phase follows one
+// that stopped at guess 4, so it skips guess 1. Every phase of SeedA and of
+// the deterministic tests stops at guess 2 or below and so still resumes
+// at 1. Weights, phases, the deterministic Borůvka tests and the
+// SetPartition* goldens (a solver's first partition) did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -113,7 +121,7 @@ TEST(Golden, BoruvkaRandomizedSeedA) {
   expect_mst(101, PaMode::Randomized, {59346003, 4, 1112, 81964});
 }
 TEST(Golden, BoruvkaRandomizedSeedB) {
-  expect_mst(202, PaMode::Randomized, {59703355, 4, 1066, 81516});
+  expect_mst(202, PaMode::Randomized, {59703355, 4, 1004, 78244});
 }
 TEST(Golden, BoruvkaDeterministicSeedA) {
   expect_mst(101, PaMode::Deterministic, {59346003, 4, 3214, 111947});

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/core/solver.hpp"
@@ -309,6 +310,113 @@ TEST(PaSolverTest, AnnouncesOncePerPartition) {
     for (const auto& p : parts)
       for (const PaMode mode : {PaMode::Randomized, PaMode::Deterministic})
         expect_labels_announced_once(*g, p, mode);
+  }
+}
+
+// The G(n, m) instance golden_test pins: in Randomized mode its first
+// set_partition freezes parts at guesses 1, 2 and 4.
+Graph resume_gnm() {
+  Rng rng(303);
+  return graph::gen::random_connected(400, 1200, rng);
+}
+Partition resume_gnm_partition(const Graph& g) {
+  Rng rng(404);
+  Partition p = graph::random_bfs_partition(g, 20, rng);
+  p.elect_min_id_leaders();
+  return p;
+}
+
+// Merges each part with at most one adjacent part (a greedy matching over
+// part adjacency), so every merged part stays connected.
+Partition coarsen_pairs(const Graph& g, const Partition& p) {
+  std::vector<int> mate(p.num_parts, -1);
+  for (int v = 0; v < g.n(); ++v)
+    for (const auto& arc : g.arcs(v)) {
+      const int a = p.part_of[v], b = p.part_of[arc.to];
+      if (a == b || mate[a] != -1 || mate[b] != -1) continue;
+      mate[a] = b;
+      mate[b] = a;
+    }
+  std::vector<int> labels(g.n());
+  for (int v = 0; v < g.n(); ++v) {
+    const int a = p.part_of[v];
+    labels[v] = mate[a] == -1 ? a : std::min(a, mate[a]);
+  }
+  Partition q = Partition::from_labels(std::move(labels));
+  q.elect_min_id_leaders();
+  graph::validate_partition(g, q);
+  return q;
+}
+
+void expect_aggregate_matches_fold(PaSolver& solver, const Partition& p) {
+  std::vector<std::uint64_t> values(p.part_of.size());
+  for (std::size_t v = 0; v < values.size(); ++v) values[v] = (v * 37) % 1001;
+  for (const Agg& agg : {agg::min(), agg::sum()}) {
+    const auto res = solver.aggregate(agg, values);
+    EXPECT_EQ(res.part_value, reference_pa(p, agg, values));
+  }
+}
+
+TEST(PaSolverResume, FirstPartitionStartsAtGuessOne) {
+  const Graph g = resume_gnm();
+  sim::Engine eng(g);
+  PaSolverConfig cfg;
+  cfg.seed = 17;
+  PaSolver solver(eng, cfg);
+  solver.set_partition(resume_gnm_partition(g));
+  const auto& f = solver.structures().frozen_at_guess;
+  EXPECT_EQ(*std::min_element(f.begin(), f.end()), 1);
+  EXPECT_GE(solver.structures().final_guess, 4);
+}
+
+// A later partition resumes the doubling at half the previous final guess:
+// no part freezes below it, and the shortcut and aggregates stay correct.
+TEST(PaSolverResume, LaterPartitionResumesAtHalfTheFinalGuess) {
+  const Graph g = resume_gnm();
+  const Partition p = resume_gnm_partition(g);
+  const Partition coarse = coarsen_pairs(g, p);
+  ASSERT_LT(coarse.num_parts, p.num_parts);
+  for (const Partition* next : {&p, &coarse}) {
+    sim::Engine eng(g);
+    PaSolverConfig cfg;
+    cfg.seed = 17;
+    PaSolver solver(eng, cfg);
+    solver.set_partition(p);
+    const int resume = solver.structures().final_guess / 2;
+    ASSERT_GE(resume, 2);
+    solver.set_partition(*next);
+    const auto& st = solver.structures();
+    for (int i = 0; i < next->num_parts; ++i)
+      EXPECT_GE(st.frozen_at_guess[i], resume) << "part " << i;
+    EXPECT_GE(st.final_guess, resume);
+    shortcut::validate_shortcut(g, st.t, *next, st.sc);
+    expect_aggregate_matches_fold(solver, *next);
+  }
+}
+
+// max(1, ·) floors the resume: a solver whose last partition stopped at
+// guess 1 (the grid instance) or built no shortcut (NoShortcut, final guess
+// 0) starts again at 1.
+TEST(PaSolverResume, SmallFinalGuessResumesAtOne) {
+  const Graph g = graph::gen::grid(24, 20);
+  Rng rng(303);
+  Partition p = graph::random_bfs_partition(g, 40, rng);
+  p.elect_min_id_leaders();
+  for (const PaStrategy strategy : {PaStrategy::Ours, PaStrategy::NoShortcut}) {
+    sim::Engine eng(g);
+    PaSolverConfig cfg;
+    cfg.strategy = strategy;
+    cfg.seed = 17;
+    PaSolver solver(eng, cfg);
+    solver.set_partition(p);
+    const int want = strategy == PaStrategy::Ours ? 1 : 0;
+    ASSERT_EQ(solver.structures().final_guess, want);
+    solver.set_partition(p);
+    const auto& st = solver.structures();
+    EXPECT_EQ(st.final_guess, want);
+    for (int i = 0; i < p.num_parts; ++i)
+      EXPECT_EQ(st.frozen_at_guess[i], want) << "part " << i;
+    expect_aggregate_matches_fold(solver, p);
   }
 }
 

@@ -97,6 +97,21 @@ TEST(Leader, DeterministicPicksMinId) {
   for (int v = 0; v < g.n(); ++v) EXPECT_EQ(r.believed_leader[v], 0);
 }
 
+// gen::path(n) is the adversarial id layout for the id-priority flood: node
+// v hears the improvements v−1, …, 0 one round apart and forwards each, so
+// the election pays n² − 1 messages (Θ(mn), not O(m log n)) in n + 1 rounds.
+TEST(Leader, DeterministicPathCostsQuadratic) {
+  for (const int n : {16, 64, 256}) {
+    Graph g = graph::gen::path(n);
+    sim::Engine eng(g);
+    const auto r = elect_leader_det(eng);
+    EXPECT_EQ(r.leader, 0);
+    EXPECT_EQ(eng.rounds(), static_cast<std::uint64_t>(n + 1)) << "n=" << n;
+    EXPECT_EQ(eng.messages(), static_cast<std::uint64_t>(n) * n - 1)
+        << "n=" << n;
+  }
+}
+
 TEST(Leader, RandomizedConvergesAndIsMessageEfficient) {
   Rng rng(29);
   Graph g = graph::gen::grid(15, 15);
