@@ -50,7 +50,7 @@ void run() {
       for (int k : {12, 24, 48, 96, 192}) {
         sim::Engine eng(g, sim::ExecutionPolicy{threads});
         const auto t0 = now_ns();
-        const auto res = apps::k_dominating_set(eng, k, {});
+        const auto res = apps::k_dominating_set(eng, k);
         const auto wall_ns = now_ns() - t0;
         apps::validate_k_domination(g, res.dominators, k);
         table.add_row({"grid(24x48)", fm(static_cast<std::uint64_t>(k)),

@@ -41,9 +41,10 @@ void run() {
       sim::Engine eng2(inst.g, policy);
       graph::Partition no_leader_p = inst.p;
       no_leader_p.leader.clear();
+      core::PaSolver solver2(eng2, cfg);
       const auto t2 = now_ns();
       const auto res =
-          core::pa_noleader(eng2, no_leader_p, agg::sum(), values, cfg);
+          core::pa_noleader(solver2, no_leader_p, agg::sum(), values);
       const auto noleader_ns = now_ns() - t2;
 
       table.add_row(

@@ -4,9 +4,13 @@
 //
 // For each verifier the harness reports rounds/messages and the ratios to
 // (D + sqrt(n)) and m; the claim is that both ratios stay polylog-bounded.
+// Every row's verdict is checked against the answer its input is built to
+// have (a centralized union-find for the random subgraphs), so a run of this
+// bench is also an end-to-end check of the verifiers.
 #include "bench/common.hpp"
 
 #include "src/apps/verification.hpp"
+#include "src/graph/dsu.hpp"
 
 namespace pw::bench {
 namespace {
@@ -17,7 +21,10 @@ void run() {
                "rnds/(D+sqrt n)", "msgs/m"});
 
   auto add = [&](const std::string& name, const graph::Graph& g, bool verdict,
-                 const sim::PhaseStats& st) {
+                 bool expected, const sim::PhaseStats& st) {
+    PW_CHECK_MSG(verdict == expected, "%s: verdict %s, expected %s",
+                 name.c_str(), verdict ? "accept" : "reject",
+                 expected ? "accept" : "reject");
     const double pred = graph::diameter_estimate(g) + std::sqrt(g.n());
     table.add_row({name, fm(static_cast<std::uint64_t>(g.n())),
                    fm(static_cast<std::uint64_t>(g.m())),
@@ -27,6 +34,13 @@ void run() {
   };
 
   auto g = graph::gen::random_connected(512, 1400, rng);
+  // Union-find over H: the centralized answer for the random subgraphs.
+  auto h_components = [&](const std::vector<char>& h) {
+    graph::Dsu dsu(g.n());
+    for (int e = 0; e < g.m(); ++e)
+      if (h[e]) dsu.unite(g.edge(e).u, g.edge(e).v);
+    return dsu;
+  };
 
   // Spanning tree verification: a real BFS tree, then one edge dropped.
   {
@@ -45,7 +59,7 @@ void run() {
     }
     sim::Engine eng(g);
     const auto good = apps::verify_spanning_tree(eng, h, {});
-    add("spanning-tree(true)", g, good.ok, good.stats);
+    add("spanning-tree(true)", g, good.ok, true, good.stats);
     for (int e = 0; e < g.m(); ++e)
       if (h[e]) {
         h[e] = 0;
@@ -53,7 +67,7 @@ void run() {
       }
     sim::Engine eng2(g);
     const auto bad = apps::verify_spanning_tree(eng2, h, {});
-    add("spanning-tree(broken)", g, bad.ok, bad.stats);
+    add("spanning-tree(broken)", g, bad.ok, false, bad.stats);
   }
 
   // Connectivity of a random subgraph.
@@ -62,7 +76,8 @@ void run() {
     for (int e = 0; e < g.m(); ++e) h[e] = rng.next_bool(0.7);
     sim::Engine eng(g);
     const auto v = apps::verify_connectivity(eng, h, {});
-    add("connectivity(random H)", g, v.ok, v.stats);
+    add("connectivity(random H)", g, v.ok, h_components(h).components() == 1,
+        v.stats);
   }
 
   // Cut verification on a planted bridge.
@@ -79,7 +94,7 @@ void run() {
     h[bridged.m() - 1] = 1;
     sim::Engine eng(bridged);
     const auto v = apps::verify_cut(eng, h, {});
-    add("cut(bridge)", bridged, v.ok, v.stats);
+    add("cut(bridge)", bridged, v.ok, true, v.stats);
   }
 
   // s-t connectivity.
@@ -88,7 +103,8 @@ void run() {
     for (int e = 0; e < g.m(); ++e) h[e] = rng.next_bool(0.5);
     sim::Engine eng(g);
     const auto v = apps::verify_s_t_connectivity(eng, h, 0, g.n() - 1, {});
-    add("s-t connectivity", g, v.ok, v.stats);
+    add("s-t connectivity", g, v.ok, h_components(h).same(0, g.n() - 1),
+        v.stats);
   }
 
 
@@ -98,7 +114,7 @@ void run() {
     std::vector<char> h(grid.m(), 1);
     sim::Engine eng(grid);
     const auto v = apps::verify_bipartiteness(eng, h, {});
-    add("bipartiteness(grid)", grid, v.ok, v.stats);
+    add("bipartiteness(grid)", grid, v.ok, true, v.stats);
 
     std::vector<graph::Edge> edges = grid.edges();
     edges.push_back({0, 17, 1});  // a diagonal: odd cycle
@@ -106,7 +122,7 @@ void run() {
     std::vector<char> h2(spoiled.m(), 1);
     sim::Engine eng2(spoiled);
     const auto v2 = apps::verify_bipartiteness(eng2, h2, {});
-    add("bipartiteness(odd cycle)", spoiled, v2.ok, v2.stats);
+    add("bipartiteness(odd cycle)", spoiled, v2.ok, false, v2.stats);
   }
 
 

@@ -32,21 +32,27 @@ int main() {
 
   // Multi-threaded by default (DESIGN.md §7: policy never moves results).
   sim::Engine engine(fabric, sim::ExecutionPolicy::hardware());
-  const auto max_load = core::pa_noleader(engine, zones, agg::max(), load, {});
-  const auto min_free = core::pa_noleader(engine, zones, agg::min(), free_mem, {});
+  // The first sweep elects the zone leaders and leaves the zones installed in
+  // the solver, so the second sweep is one ordinary PA call on them.
+  core::PaSolver solver(engine);
+  const auto max_load = core::pa_noleader(solver, zones, agg::max(), load);
+  const auto min_free = solver.aggregate(agg::min(), free_mem);
+  auto free_of = [&](int z) {
+    return min_free.node_value[max_load.elected_leader[z]];
+  };
 
   std::printf("zone health summary (%d zones, %d nodes, %d links):\n",
               zones.num_parts, fabric.n(), fabric.m());
   int alerts = 0;
   for (int z = 0; z < zones.num_parts; ++z) {
     const bool hot = max_load.part_value[z] > 99;
-    const bool tight = min_free.part_value[z] < 5;
+    const bool tight = free_of(z) < 5;
     if (hot || tight) {
       ++alerts;
       if (alerts <= 8)
         std::printf("  zone %2d  max-load=%3llu%%  min-free=%2lluGiB  %s%s\n", z,
                     static_cast<unsigned long long>(max_load.part_value[z]),
-                    static_cast<unsigned long long>(min_free.part_value[z]),
+                    static_cast<unsigned long long>(free_of(z)),
                     hot ? "[HOT]" : "", tight ? "[LOW-MEM]" : "");
     }
   }

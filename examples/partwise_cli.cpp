@@ -206,7 +206,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(res.part_value[0]));
     } else {
       p.leader.clear();
-      const auto res = core::pa_noleader(eng, p, agg::sum(), values, cfg);
+      core::PaSolver solver(eng, cfg);
+      const auto res = core::pa_noleader(solver, p, agg::sum(), values);
       report("total", res.stats, g);
       std::printf("parts: %d, coarsening rounds: %d\n", p.num_parts,
                   res.coarsening_rounds);
@@ -244,7 +245,7 @@ int main(int argc, char** argv) {
   } else if (algorithm == "kdom") {
     const int k = std::max(2, graph::diameter_estimate(g) / 2);
     sim::Engine eng(g, policy, faults);
-    const auto res = apps::k_dominating_set(eng, k, cfg);
+    const auto res = apps::k_dominating_set(eng, k);
     apps::validate_k_domination(g, res.dominators, k);
     report("kdom", res.stats, g);
     std::printf("k=%d dominators=%zu (bound %d)\n", k, res.dominators.size(),

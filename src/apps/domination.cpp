@@ -12,8 +12,7 @@
 
 namespace pw::apps {
 
-KDomResult k_dominating_set(sim::Engine& eng, int k,
-                            const core::PaSolverConfig& cfg) {
+KDomResult k_dominating_set(sim::Engine& eng, int k) {
   PW_CHECK(k >= 1);
   const auto& g = eng.graph();
   const auto snap = eng.snap();
@@ -23,7 +22,6 @@ KDomResult k_dominating_set(sim::Engine& eng, int k,
   // nodes or spans the graph.
   const int threshold = std::max(1, (k + 5) / 6);
   graph::Partition whole = graph::whole_partition(g);
-  (void)cfg;
   const auto div =
       shortcut::build_subpart_division_det(eng, whole, threshold, nullptr);
 
@@ -38,15 +36,13 @@ std::vector<std::vector<std::uint64_t>> component_topk(
     const std::vector<std::uint64_t>& values, int howmany,
     const core::PaSolverConfig& cfg) {
   const auto& g = eng.graph();
-  const auto labels = h_component_labels(eng, in_subgraph, cfg);
-
-  // Partition with the elected labels as leaders.
-  graph::Partition p = graph::Partition::from_labels(labels.label);
-  p.leader.assign(p.num_parts, -1);
-  for (int v = 0; v < g.n(); ++v)
-    if (labels.label[v] == v) p.leader[p.part_of[v]] = v;
+  PW_CHECK_MSG(static_cast<int>(values.size()) == g.n() && howmany >= 0,
+               "component_topk: %zu values for %d nodes, howmany=%d",
+               values.size(), g.n(), howmany);
+  // The labelling leaves the components installed with elected leaders.
   core::PaSolver solver(eng, cfg);
-  solver.set_partition(p);
+  h_component_labels(solver, in_subgraph);
+  const auto& p = solver.partition();
 
   // `howmany` rounds of component max over packed (value, node) pairs,
   // excluding nodes already selected.
@@ -75,14 +71,8 @@ std::vector<std::uint64_t> component_sum(sim::Engine& eng,
                                          const std::vector<char>& in_subgraph,
                                          const std::vector<std::uint64_t>& values,
                                          const core::PaSolverConfig& cfg) {
-  const auto& g = eng.graph();
-  const auto labels = h_component_labels(eng, in_subgraph, cfg);
-  graph::Partition p = graph::Partition::from_labels(labels.label);
-  p.leader.assign(p.num_parts, -1);
-  for (int v = 0; v < g.n(); ++v)
-    if (labels.label[v] == v) p.leader[p.part_of[v]] = v;
   core::PaSolver solver(eng, cfg);
-  solver.set_partition(p);
+  h_component_labels(solver, in_subgraph);
   return solver.aggregate(agg::sum(), values).node_value;
 }
 

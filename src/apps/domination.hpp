@@ -25,12 +25,11 @@ struct KDomResult {
 };
 
 // Computes a k-dominating set of size O(n/k) in Õ(D + sqrt(n)) rounds.
-KDomResult k_dominating_set(sim::Engine& eng, int k,
-                            const core::PaSolverConfig& cfg = {});
+KDomResult k_dominating_set(sim::Engine& eng, int k);
 
 // Largest `howmany` values (with their node ids) per H-component.
 // Returns, for each node, the packed (value, node) pairs of its component
-// in descending order. Runs `howmany` PA rounds.
+// in descending order. Runs `howmany` >= 0 PA rounds on one PaSolver.
 std::vector<std::vector<std::uint64_t>> component_topk(
     sim::Engine& eng, const std::vector<char>& in_subgraph,
     const std::vector<std::uint64_t>& values, int howmany,

@@ -129,8 +129,7 @@ MstResult boruvka_mst(sim::Engine& eng, const core::PaSolverConfig& cfg) {
   return out;
 }
 
-MstResult ghs_style_mst(sim::Engine& eng, std::uint64_t seed) {
-  (void)seed;
+MstResult ghs_style_mst(sim::Engine& eng) {
   const auto& g = eng.graph();
   const auto snap = eng.snap();
   MstResult out;

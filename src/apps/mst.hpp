@@ -40,7 +40,7 @@ MstResult boruvka_mst(sim::Engine& eng, const core::PaSolverConfig& cfg = {});
 // complexity stays Õ(m), but each phase costs the largest fragment-tree
 // DIAMETER in rounds, i.e. Θ(n) on low-diameter graphs with long fragments:
 // the round-suboptimal side of the trade-off the paper closes.
-MstResult ghs_style_mst(sim::Engine& eng, std::uint64_t seed = 1);
+MstResult ghs_style_mst(sim::Engine& eng);
 
 // Centralized references.
 std::int64_t kruskal_mst_weight(const graph::Graph& g);

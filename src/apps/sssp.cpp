@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/apps/verification.hpp"
-#include "src/graph/dsu.hpp"
 
 namespace pw::apps {
 
@@ -57,11 +56,16 @@ SsspResult approx_sssp(sim::Engine& eng, int source, double beta,
                        const core::PaSolverConfig& cfg) {
   PW_CHECK(beta > 0 && beta <= 1);
   const auto& g = eng.graph();
+  PW_CHECK_MSG(0 <= source && source < g.n(),
+               "approx_sssp: source=%d not in [0, %d)", source, g.n());
   const auto snap = eng.snap();
   const int h = std::max(2, static_cast<int>(std::llround(1.0 / beta)));
 
   std::vector<std::int64_t> est(g.n(), kInf);
   est[source] = 0;
+
+  // One solver for every scale: the leader and T are built once.
+  core::PaSolver solver(eng, cfg);
 
   std::int64_t wsum = 0;
   for (const auto& e : g.edges()) wsum += e.w;
@@ -79,16 +83,10 @@ SsspResult approx_sssp(sim::Engine& eng, int source, double beta,
       }
 
     if (any_light) {
-      // PA: label light components (Algorithm 9), then per-component min
-      // estimate and size; hop across each component with a certified
-      // spanning-walk surcharge.
-      const auto labels = h_component_labels(eng, light, cfg);
-      graph::Partition p = graph::Partition::from_labels(labels.label);
-      p.leader.assign(p.num_parts, -1);
-      for (int v = 0; v < g.n(); ++v)
-        if (labels.label[v] == v) p.leader[p.part_of[v]] = v;
-      core::PaSolver solver(eng, cfg);
-      solver.set_partition(p);
+      // PA: label light components (Algorithm 9, leaving them installed),
+      // then per-component min estimate and size; hop across each component
+      // with a certified spanning-walk surcharge.
+      h_component_labels(solver, light);
 
       std::vector<std::uint64_t> est_u(g.n());
       for (int v = 0; v < g.n(); ++v)

@@ -4,25 +4,36 @@
 
 #include "src/graph/dsu.hpp"
 #include "src/tree/bfs.hpp"
+#include "src/tree/treeops.hpp"
 
 namespace pw::apps {
 
 namespace {
 
-// PA over the whole graph as one part (leader elected by the solver's
-// pipeline): every node learns the aggregate.
+// Whole-graph aggregate on the solver's BFS tree T: a convergecast and a
+// broadcast, 2(n-1) messages. Every node learns the result.
 std::uint64_t whole_graph_agg(core::PaSolver& solver, const Agg& agg,
                               const std::vector<std::uint64_t>& values) {
-  const auto res = solver.aggregate(agg, values);
-  return res.part_value[0];
+  auto& eng = solver.engine();
+  const auto& t = solver.structures().t;
+  const auto total = tree::forest_convergecast(eng, t, agg, values);
+  return tree::forest_broadcast(eng, t, total)[t.roots[0]];
+}
+
+// H spans G and connects it: all labels equal <=> min == max over the
+// labels, checked on T so every node learns the verdict.
+bool connected(core::PaSolver& solver, const std::vector<char>& in_subgraph) {
+  const auto labels = h_component_labels(solver, in_subgraph);
+  std::vector<std::uint64_t> lab(labels.label.begin(), labels.label.end());
+  return whole_graph_agg(solver, agg::min(), lab) ==
+         whole_graph_agg(solver, agg::max(), lab);
 }
 
 }  // namespace
 
-LabelsResult h_component_labels(sim::Engine& eng,
-                                const std::vector<char>& in_subgraph,
-                                const core::PaSolverConfig& cfg) {
-  const auto& g = eng.graph();
+LabelsResult h_component_labels(core::PaSolver& solver,
+                                const std::vector<char>& in_subgraph) {
+  const auto& g = solver.engine().graph();
   PW_CHECK(static_cast<int>(in_subgraph.size()) == g.m());
 
   // The PA partition: H-components. Each node knows its incident H edges,
@@ -37,7 +48,7 @@ LabelsResult h_component_labels(sim::Engine& eng,
   // Components have no leaders: Algorithm 9 does the labelling.
   std::vector<std::uint64_t> ids(g.n());
   for (int v = 0; v < g.n(); ++v) ids[v] = static_cast<std::uint64_t>(v);
-  const auto res = core::pa_noleader(eng, p, agg::min(), ids, cfg);
+  const auto res = core::pa_noleader(solver, p, agg::min(), ids);
 
   LabelsResult out;
   out.num_components = p.num_parts;
@@ -52,19 +63,9 @@ Verdict verify_connectivity(sim::Engine& eng,
                             const std::vector<char>& in_subgraph,
                             const core::PaSolverConfig& cfg) {
   const auto snap = eng.snap();
-  const auto labels = h_component_labels(eng, in_subgraph, cfg);
-
-  // All labels equal <=> min == max over labels, checked with one PA over
-  // the whole graph so every node learns the verdict.
   core::PaSolver solver(eng, cfg);
-  auto whole = graph::whole_partition(eng.graph());
-  solver.set_partition(whole);
-  std::vector<std::uint64_t> lab(labels.label.begin(), labels.label.end());
-  const auto lo = whole_graph_agg(solver, agg::min(), lab);
-  const auto hi = whole_graph_agg(solver, agg::max(), lab);
-
   Verdict out;
-  out.ok = lo == hi;
+  out.ok = connected(solver, in_subgraph);
   out.stats = eng.since(snap);
   return out;
 }
@@ -74,13 +75,11 @@ Verdict verify_spanning_tree(sim::Engine& eng,
                              const core::PaSolverConfig& cfg) {
   const auto& g = eng.graph();
   const auto snap = eng.snap();
-  Verdict conn = verify_connectivity(eng, in_subgraph, cfg);
+  core::PaSolver solver(eng, cfg);
+  const bool conn = connected(solver, in_subgraph);
 
   // Edge count: every node contributes its incident H-degree; the sum
   // double-counts, so H is a tree iff it equals 2(n-1) given connectivity.
-  core::PaSolver solver(eng, cfg);
-  auto whole = graph::whole_partition(g);
-  solver.set_partition(whole);
   std::vector<std::uint64_t> hdeg(g.n(), 0);
   for (int e = 0; e < g.m(); ++e)
     if (in_subgraph[e]) {
@@ -90,7 +89,7 @@ Verdict verify_spanning_tree(sim::Engine& eng,
   const auto total = whole_graph_agg(solver, agg::sum(), hdeg);
 
   Verdict out;
-  out.ok = conn.ok && total == 2ULL * (g.n() - 1);
+  out.ok = conn && total == 2ULL * (g.n() - 1);
   out.stats = eng.since(snap);
   return out;
 }
@@ -102,9 +101,9 @@ Verdict verify_cut(sim::Engine& eng, const std::vector<char>& in_subgraph,
   std::vector<char> complement(in_subgraph.size());
   for (std::size_t e = 0; e < in_subgraph.size(); ++e)
     complement[e] = in_subgraph[e] ? 0 : 1;
-  Verdict rest = verify_connectivity(eng, complement, cfg);
+  core::PaSolver solver(eng, cfg);
   Verdict out;
-  out.ok = !rest.ok;
+  out.ok = !connected(solver, complement);
   out.stats = eng.since(snap);
   return out;
 }
@@ -114,7 +113,8 @@ Verdict verify_bipartiteness(sim::Engine& eng,
                              const core::PaSolverConfig& cfg) {
   const auto& g = eng.graph();
   const auto snap = eng.snap();
-  const auto labels = h_component_labels(eng, in_subgraph, cfg);
+  core::PaSolver solver(eng, cfg);
+  const auto labels = h_component_labels(solver, in_subgraph);
 
   // Rooted spanning tree of each H-component (roots = elected labels),
   // built by a wave over H edges only.
@@ -148,10 +148,7 @@ Verdict verify_bipartiteness(sim::Engine& eng,
     });
   }
 
-  // Spread any violation to everyone with one whole-graph PA (max).
-  core::PaSolver solver(eng, cfg);
-  auto whole = graph::whole_partition(g);
-  solver.set_partition(whole);
+  // Spread any violation to everyone with one whole-graph aggregate (max).
   std::vector<std::uint64_t> flags(g.n(), 0);
   for (int v = 0; v < g.n(); ++v) flags[v] = violated[v];
   const auto any = whole_graph_agg(solver, agg::max(), flags);
@@ -165,15 +162,16 @@ Verdict verify_bipartiteness(sim::Engine& eng,
 Verdict verify_s_t_connectivity(sim::Engine& eng,
                                 const std::vector<char>& in_subgraph, int s,
                                 int t, const core::PaSolverConfig& cfg) {
+  const int n = eng.graph().n();
+  PW_CHECK_MSG(0 <= s && s < n && 0 <= t && t < n,
+               "verify_s_t_connectivity: s=%d, t=%d not in [0, %d)", s, t, n);
   const auto snap = eng.snap();
-  const auto labels = h_component_labels(eng, in_subgraph, cfg);
+  core::PaSolver solver(eng, cfg);
+  const auto labels = h_component_labels(solver, in_subgraph);
 
   // Broadcast s's label (min over a one-hot vector) so t — and everyone
   // else — can compare locally.
-  core::PaSolver solver(eng, cfg);
-  auto whole = graph::whole_partition(eng.graph());
-  solver.set_partition(whole);
-  std::vector<std::uint64_t> onehot(eng.graph().n(), ~0ULL);
+  std::vector<std::uint64_t> onehot(n, ~0ULL);
   onehot[s] = static_cast<std::uint64_t>(labels.label[s]);
   const auto s_label = whole_graph_agg(solver, agg::min(), onehot);
 

@@ -14,6 +14,8 @@
 //   verify_s_t_connectivity — s and t share an H-component
 // all in Õ(D + sqrt(n)) rounds and Õ(m) messages, every node learning the
 // verdict.
+// Each verifier builds one PaSolver (one leader, one BFS tree T); its
+// whole-graph verdicts are a convergecast plus a broadcast on T.
 #pragma once
 
 #include "src/core/noleader.hpp"
@@ -26,10 +28,10 @@ struct LabelsResult {
   sim::PhaseStats stats;
 };
 
-// in_subgraph is indexed by edge id.
-LabelsResult h_component_labels(sim::Engine& eng,
-                                const std::vector<char>& in_subgraph,
-                                const core::PaSolverConfig& cfg = {});
+// in_subgraph is indexed by edge id. Leaves the H-components installed in
+// the solver with their elected leaders (see pa_noleader).
+LabelsResult h_component_labels(core::PaSolver& solver,
+                                const std::vector<char>& in_subgraph);
 
 struct Verdict {
   bool ok = false;
@@ -47,6 +49,7 @@ Verdict verify_spanning_tree(sim::Engine& eng,
 Verdict verify_cut(sim::Engine& eng, const std::vector<char>& in_subgraph,
                    const core::PaSolverConfig& cfg = {});
 
+// s and t must be node ids in [0, n).
 Verdict verify_s_t_connectivity(sim::Engine& eng,
                                 const std::vector<char>& in_subgraph, int s,
                                 int t, const core::PaSolverConfig& cfg = {});
@@ -54,10 +57,10 @@ Verdict verify_s_t_connectivity(sim::Engine& eng,
 // Bipartiteness of H (footnote 4 of the paper): root a spanning tree of
 // every H-component at its elected leader, 2-color by tree depth parity,
 // and check every H edge joins opposite colors (one announcement round +
-// one PA to spread any violation). The tree-building wave runs over H
-// edges, so its round count is the H-component diameter — the rooted-tree
-// byproduct Thurimella's algorithm would maintain for free (substitution
-// noted in DESIGN.md).
+// one aggregate on T to spread any violation). The tree-building wave runs
+// over H edges, so its round count is the H-component diameter — the
+// rooted-tree byproduct Thurimella's algorithm would maintain for free
+// (substitution noted in DESIGN.md).
 Verdict verify_bipartiteness(sim::Engine& eng,
                              const std::vector<char>& in_subgraph,
                              const core::PaSolverConfig& cfg = {});

@@ -13,19 +13,18 @@ constexpr std::uint64_t kNone = ~0ULL;
 
 }  // namespace
 
-NoLeaderResult pa_noleader(sim::Engine& eng, const graph::Partition& p,
+NoLeaderResult pa_noleader(PaSolver& solver, const graph::Partition& p,
                            const Agg& agg,
-                           const std::vector<std::uint64_t>& values,
-                           const PaSolverConfig& cfg) {
+                           const std::vector<std::uint64_t>& values) {
+  auto& eng = solver.engine();
   const auto& g = eng.graph();
   const auto snap = eng.snap();
-  Rng rng(cfg.seed ^ 0x9d2c5680ULL);
+  Rng rng(solver.config().seed ^ 0x9d2c5680ULL);
 
   // Pseudo-part label = its leader's node id (Appendix B lines 1-2).
   std::vector<int> pseudo(g.n());
   for (int v = 0; v < g.n(); ++v) pseudo[v] = v;
 
-  PaSolver solver(eng, cfg);
   std::vector<int> nbr_pseudo(g.num_arcs(), -1);
   std::vector<char> nbr_coin(g.num_arcs(), 0);
 
@@ -108,7 +107,7 @@ NoLeaderResult pa_noleader(sim::Engine& eng, const graph::Partition& p,
 
   // Line 10: ordinary PA on the coarsened partition (= input partition,
   // with elected leaders). The loop always exits with it already installed
-  // as its last pseudo-partition, so its structures are reused.
+  // as its last pseudo-partition, and it stays installed for the caller.
   const auto res = solver.aggregate(agg, values);
 
   NoLeaderResult out;

@@ -30,10 +30,12 @@ struct NoLeaderResult {
   sim::PhaseStats stats;
 };
 
-// p must NOT rely on leaders (any leader entries are ignored).
-NoLeaderResult pa_noleader(sim::Engine& eng, const graph::Partition& p,
+// Runs on the caller's solver (its engine, config, leader and T); p's leader
+// entries are ignored. On return the solver has p installed with the elected
+// leaders (same grouping, part indices may differ), so the caller can
+// aggregate() on p again without another set_partition.
+NoLeaderResult pa_noleader(PaSolver& solver, const graph::Partition& p,
                            const Agg& agg,
-                           const std::vector<std::uint64_t>& values,
-                           const PaSolverConfig& cfg = {});
+                           const std::vector<std::uint64_t>& values);
 
 }  // namespace pw::core

@@ -92,7 +92,7 @@ void PaSolver::build_shortcut() {
       DetShortcutConfig dc;
       dc.congestion_cap = guess;
       dc.block_target = guess;
-      dc.max_repetitions = cfg_.corefast_iters_per_guess;
+      dc.max_repetitions = kCoreFastItersPerGuess;
       dc.skip_parts = frozen;
       auto round = build_shortcut_det(*eng_, part_, st_.div, st_.labels, st_.t,
                                       st_.hp, dc);
@@ -102,7 +102,7 @@ void PaSolver::build_shortcut() {
       CoreFastConfig cc;
       cc.congestion_cap = guess;
       cc.block_target = guess;
-      cc.max_iterations = cfg_.corefast_iters_per_guess;
+      cc.max_iterations = kCoreFastItersPerGuess;
       cc.seed = rng_.next_u64();
       cc.mode = cfg_.mode;
       cc.skip_parts = frozen;  // parts served at smaller guesses sit out

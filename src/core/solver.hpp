@@ -35,8 +35,11 @@ struct PaSolverConfig {
   PaMode mode = PaMode::Randomized;
   PaStrategy strategy = PaStrategy::Ours;
   std::uint64_t seed = 1;
-  int corefast_iters_per_guess = 4;
 };
+
+// Shortcut construction attempts per guess of the doubling (CoreFast
+// iterations, or the deterministic builder's repetitions).
+inline constexpr int kCoreFastItersPerGuess = 4;
 
 struct PaStructures {
   tree::SpanningForest t;

@@ -173,7 +173,8 @@ TEST(AppsParallel, PaNoLeader) {
     sim::Engine eng(inst.g, policy);
     core::PaSolverConfig cfg;
     cfg.seed = 17;
-    const auto res = core::pa_noleader(eng, inst.p, agg::min(), values, cfg);
+    core::PaSolver solver(eng, cfg);
+    const auto res = core::pa_noleader(solver, inst.p, agg::min(), values);
     Capture c;
     c.result = res.node_value;
     c.result.insert(c.result.end(), res.part_value.begin(),
@@ -190,7 +191,7 @@ TEST(AppsParallel, KDominatingSet) {
   const auto inst = small_instance();
   expect_policy_invariant("kdom", [&](sim::ExecutionPolicy policy) {
     sim::Engine eng(inst.g, policy);
-    const auto res = apps::k_dominating_set(eng, 8, {});
+    const auto res = apps::k_dominating_set(eng, 8);
     Capture c;
     for (const int v : res.dominators)
       c.result.push_back(static_cast<std::uint64_t>(v));

@@ -25,7 +25,8 @@ TEST(Verification, ComponentLabelsMatchDsu) {
   for (int e = 0; e < g.m(); ++e) h[e] = rng.next_bool(0.4);
 
   sim::Engine eng(g);
-  const auto res = h_component_labels(eng, h, {});
+  core::PaSolver solver(eng);
+  const auto res = h_component_labels(solver, h);
 
   graph::Dsu dsu(g.n());
   for (int e = 0; e < g.m(); ++e)
@@ -110,6 +111,39 @@ TEST(Verification, STConnectivity) {
   EXPECT_FALSE(verify_s_t_connectivity(eng2, h, 0, 9, {}).ok);
 }
 
+// Out-of-range inputs at the app boundary abort with a clear message before
+// they can index past a per-node vector.
+TEST(AppsDeathTest, OutOfRangeInputsAbortWithAMessage) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const Graph g = graph::gen::path(8);
+  const std::vector<char> h(g.m(), 1);
+  const std::vector<std::uint64_t> values(g.n(), 1);
+  auto s_t = [&](int s, int t) {
+    sim::Engine eng(g);
+    verify_s_t_connectivity(eng, h, s, t, {});
+  };
+  EXPECT_DEATH(s_t(-1, 3), "s=-1, t=3 not in");
+  EXPECT_DEATH(s_t(0, 8), "s=0, t=8 not in");
+  EXPECT_DEATH(
+      {
+        sim::Engine eng(g);
+        approx_sssp(eng, 8, 0.5, {});
+      },
+      "source=8 not in");
+  EXPECT_DEATH(
+      {
+        sim::Engine eng(g);
+        component_topk(eng, h, std::vector<std::uint64_t>(3, 1), 1, {});
+      },
+      "3 values for 8 nodes, howmany=1");
+  EXPECT_DEATH(
+      {
+        sim::Engine eng(g);
+        component_topk(eng, h, values, -1, {});
+      },
+      "8 values for 8 nodes, howmany=-1");
+}
+
 // --- Domination (Corollaries A.2, A.3) ---------------------------------------
 
 TEST(KDom, CoversWithinKAndSmall) {
@@ -117,7 +151,7 @@ TEST(KDom, CoversWithinKAndSmall) {
   for (int k : {6, 12, 30}) {
     Graph g = graph::gen::grid(10, 30);
     sim::Engine eng(g);
-    const auto res = k_dominating_set(eng, k, {});
+    const auto res = k_dominating_set(eng, k);
     validate_k_domination(g, res.dominators, k);
     EXPECT_LE(static_cast<int>(res.dominators.size()), 6 * g.n() / k + 1)
         << "k=" << k;
@@ -127,7 +161,7 @@ TEST(KDom, CoversWithinKAndSmall) {
 TEST(KDom, LargeKGivesFewDominators) {
   Graph g = graph::gen::path(120);
   sim::Engine eng(g);
-  const auto res = k_dominating_set(eng, 60, {});
+  const auto res = k_dominating_set(eng, 60);
   validate_k_domination(g, res.dominators, 60);
   EXPECT_LE(static_cast<int>(res.dominators.size()), 13);
 }

@@ -170,7 +170,8 @@ TEST(EdgeCases, NoLeaderOnTwoNodes) {
   Partition p = graph::whole_partition(g);
   p.leader.clear();
   sim::Engine eng(g);
-  const auto res = core::pa_noleader(eng, p, agg::sum(), {5, 6}, {});
+  core::PaSolver solver(eng);
+  const auto res = core::pa_noleader(solver, p, agg::sum(), {5, 6});
   EXPECT_EQ(res.part_value[0], 11u);
 }
 

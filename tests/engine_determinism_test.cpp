@@ -104,8 +104,9 @@ sim::PhaseStats run_noleader(const Instance& inst, sim::ExecutionPolicy policy) 
   Rng rng(7);
   std::vector<std::uint64_t> values(static_cast<std::size_t>(inst.g.n()));
   for (auto& x : values) x = rng.next_below(1u << 20);
+  core::PaSolver solver(eng, cfg);
   const auto snap = eng.snap();
-  core::pa_noleader(eng, inst.p, agg::min(), values, cfg);
+  core::pa_noleader(solver, inst.p, agg::min(), values);
   return eng.since(snap);
 }
 

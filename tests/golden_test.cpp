@@ -36,13 +36,20 @@
 // the deterministic tests stops at guess 2 or below and so still resumes
 // at 1. Weights, phases, the deterministic Borůvka tests and the
 // SetPartition* goldens (a solver's first partition) did not move.
+//
+// The App* goldens pin the apps built on Algorithm 9 (Corollaries A.1, A.2
+// and 1.5), each building one PaSolver per call: the verdict or a hash of
+// the output, and the rounds and messages of the whole call.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
 
+#include "src/apps/domination.hpp"
 #include "src/apps/mst.hpp"
+#include "src/apps/sssp.hpp"
+#include "src/apps/verification.hpp"
 #include "src/graph/generators.hpp"
 
 namespace pw::core {
@@ -224,6 +231,79 @@ TEST(Golden, SetPartitionGnmDeterministic) {
   expect_solver(g, solver_gnm_partition(g), PaMode::Deterministic,
                 {26ULL, 12567ULL, 357ULL, 16655ULL, 64ULL, 2260ULL, 1,
                  8613595185681582806ULL, 6924345991966743494ULL});
+}
+
+struct AppGolden {
+  std::uint64_t output;  // verdict (0 or 1), or an FNV-1a hash of the output
+  std::uint64_t rounds, messages;
+};
+
+void expect_app(const char* name, const AppGolden& got,
+                const AppGolden& want) {
+  if (print_mode())
+    std::printf("app %s: {%lluULL, %lluULL, %lluULL}\n", name,
+                static_cast<unsigned long long>(got.output),
+                static_cast<unsigned long long>(got.rounds),
+                static_cast<unsigned long long>(got.messages));
+  EXPECT_EQ(got.output, want.output) << name;
+  EXPECT_EQ(got.rounds, want.rounds) << name;
+  EXPECT_EQ(got.messages, want.messages) << name;
+}
+
+template <typename T>
+std::uint64_t output_hash(const std::vector<T>& xs) {
+  Fnv f;
+  f.add(static_cast<std::int64_t>(xs.size()));
+  for (const T x : xs) f.add(static_cast<std::int64_t>(x));
+  return f.h;
+}
+
+graph::Graph app_gnm() {
+  Rng rng(505);
+  return graph::gen::random_connected(200, 500, rng);
+}
+
+PaSolverConfig app_config() {
+  PaSolverConfig cfg;
+  cfg.seed = 17;
+  return cfg;
+}
+
+TEST(Golden, AppVerifySpanningTree) {
+  const auto g = app_gnm();
+  // Kruskal on unit weights: a spanning tree of g.
+  const auto h = apps::kruskal_mst_edges(g);
+  sim::Engine eng(g);
+  const auto v = apps::verify_spanning_tree(eng, h, app_config());
+  EXPECT_TRUE(v.ok);
+  expect_app("verify_spanning_tree",
+             {v.ok ? 1ULL : 0ULL, v.stats.rounds, v.stats.messages},
+             {1ULL, 1906ULL, 108646ULL});
+}
+
+TEST(Golden, AppComponentSum) {
+  const auto g = app_gnm();
+  Rng rng(606);
+  std::vector<char> h(g.m(), 0);
+  for (auto& x : h) x = rng.next_bool(0.5);
+  std::vector<std::uint64_t> values(g.n());
+  for (auto& x : values) x = rng.next_below(1000);
+  sim::Engine eng(g);
+  const auto snap = eng.snap();
+  const auto sums = apps::component_sum(eng, h, values, app_config());
+  const auto st = eng.since(snap);
+  expect_app("component_sum", {output_hash(sums), st.rounds, st.messages},
+             {13893422827034283324ULL, 1658ULL, 82231ULL});
+}
+
+TEST(Golden, AppApproxSssp) {
+  Rng rng(707);
+  const auto g = graph::gen::with_random_weights(app_gnm(), 20, rng);
+  sim::Engine eng(g);
+  const auto res = apps::approx_sssp(eng, 0, 0.25, app_config());
+  expect_app("approx_sssp",
+             {output_hash(res.dist), res.stats.rounds, res.stats.messages},
+             {21489329443242352ULL, 20455ULL, 1065147ULL});
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/baselines.hpp"
 #include "src/core/noleader.hpp"
 #include "src/graph/generators.hpp"
@@ -30,7 +32,8 @@ TEST(NoLeader, MatchesReferenceOnRandomInstances) {
     sim::Engine eng(g);
     PaSolverConfig cfg;
     cfg.seed = 910 + trial;
-    const auto res = pa_noleader(eng, p, agg::sum(), values, cfg);
+    PaSolver solver(eng, cfg);
+    const auto res = pa_noleader(solver, p, agg::sum(), values);
     const auto ref = reference_pa(p, agg::sum(), values);
     for (int i = 0; i < p.num_parts; ++i) EXPECT_EQ(res.part_value[i], ref[i]);
     for (int v = 0; v < g.n(); ++v)
@@ -48,8 +51,9 @@ TEST(NoLeader, LogarithmicCoarsening) {
   Graph g = graph::gen::grid(8, 32);
   Partition p = graph::grid_row_partition(8, 32);
   sim::Engine eng(g);
+  PaSolver solver(eng);
   std::vector<std::uint64_t> values(g.n(), 1);
-  const auto res = pa_noleader(eng, p, agg::sum(), values, {});
+  const auto res = pa_noleader(solver, p, agg::sum(), values);
   for (int i = 0; i < p.num_parts; ++i) EXPECT_EQ(res.part_value[i], 32u);
   EXPECT_LE(res.coarsening_rounds, 40);
   EXPECT_GE(res.coarsening_rounds, 1);
@@ -62,10 +66,45 @@ TEST(NoLeader, SingletonPartsNeedNoCoarsening) {
   sim::Engine eng(g);
   std::vector<std::uint64_t> values(g.n());
   for (int v = 0; v < g.n(); ++v) values[v] = v * 10;
-  const auto res = pa_noleader(eng, p, agg::max(), values, {});
+  PaSolver solver(eng);
+  const auto res = pa_noleader(solver, p, agg::max(), values);
   EXPECT_EQ(res.coarsening_rounds, 0);
   for (int v = 0; v < g.n(); ++v)
     EXPECT_EQ(res.node_value[v], static_cast<std::uint64_t>(v * 10));
+}
+
+// The apps aggregate on solver.partition() straight after pa_noleader, so it
+// must leave the input partition installed with the elected leaders.
+TEST(NoLeader, LeavesInputPartitionInstalledWithElectedLeaders) {
+  Rng rng(94);
+  Graph g = graph::gen::random_connected(150, 400, rng);
+  Partition p = graph::random_bfs_partition(g, 9, rng);
+  p.leader.clear();
+  std::vector<std::uint64_t> values(g.n());
+  for (auto& x : values) x = rng.next_below(1000);
+
+  sim::Engine eng(g);
+  PaSolver solver(eng);
+  const auto res = pa_noleader(solver, p, agg::sum(), values);
+  const auto& q = solver.partition();
+  ASSERT_EQ(q.num_parts, p.num_parts);
+  // Same grouping: the part index maps are one bijection.
+  std::vector<int> q_of_p(p.num_parts, -1);
+  for (int v = 0; v < g.n(); ++v) {
+    int& mapped = q_of_p[p.part_of[v]];
+    if (mapped < 0) mapped = q.part_of[v];
+    EXPECT_EQ(q.part_of[v], mapped) << "node " << v;
+  }
+  std::vector<int> sorted = q_of_p;
+  std::sort(sorted.begin(), sorted.end());
+  for (int i = 0; i < p.num_parts; ++i) ASSERT_EQ(sorted[i], i);
+  // Its leaders are the elected ones.
+  for (int i = 0; i < p.num_parts; ++i)
+    EXPECT_EQ(q.leader[q_of_p[i]], res.elected_leader[i]) << "part " << i;
+  // And a further aggregate on it needs no set_partition.
+  const auto again = solver.aggregate(agg::sum(), values);
+  for (int v = 0; v < g.n(); ++v)
+    EXPECT_EQ(again.node_value[v], res.node_value[v]);
 }
 
 TEST(GlobalTreeBaseline, CorrectButMessageHungry) {

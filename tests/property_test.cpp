@@ -185,7 +185,7 @@ TEST_P(StructureProperty, StructuresSatisfyPaperInvariants) {
   // Congestion is Õ(kappa*): final guess x iterations x log envelope.
   const double logn = std::log2(std::max(2, inst.g.n()));
   ASSERT_LE(shortcut::congestion(st.sc),
-            st.final_guess * (2 * logn + 8) * solver.config().corefast_iters_per_guess);
+            st.final_guess * (2 * logn + 8) * core::kCoreFastItersPerGuess);
 }
 
 std::string structure_case_name(
@@ -246,7 +246,8 @@ TEST_P(NoLeaderProperty, MatchesReferenceWithoutLeaders) {
   for (auto& x : values) x = rng.next_below(1u << 16);
 
   sim::Engine eng(inst.g);
-  const auto res = core::pa_noleader(eng, p, agg::min(), values, {});
+  core::PaSolver solver(eng);
+  const auto res = core::pa_noleader(solver, p, agg::min(), values);
   const auto ref = reference_pa(p, agg::min(), values);
   for (int i = 0; i < p.num_parts; ++i) ASSERT_EQ(res.part_value[i], ref[i]);
 }

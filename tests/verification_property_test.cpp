@@ -72,7 +72,8 @@ TEST_P(VerifierSweep, STConnectivityAgreesWithOracle) {
 
 TEST_P(VerifierSweep, LabelsArePartitionHomomorphic) {
   sim::Engine eng(*g_);
-  const auto res = h_component_labels(eng, h_, {});
+  core::PaSolver solver(eng);
+  const auto res = h_component_labels(solver, h_);
   graph::Dsu dsu(g_->n());
   for (int e = 0; e < g_->m(); ++e)
     if (h_[e]) dsu.unite(g_->edge(e).u, g_->edge(e).v);
