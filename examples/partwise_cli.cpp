@@ -28,6 +28,10 @@
 //   ./partwise_cli arq grid 1024 1 --drop 0.2 --fault-seed 42
 //   ./partwise_cli arq gnm 256 1 --drop 0.1 --crash 3-40:17
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,18 +93,47 @@ void report_faults(const sim::Engine& eng) {
       static_cast<unsigned long long>(fs.wakes_suppressed));
 }
 
+// Whole-string numeric parsers: trailing text, an empty string, a sign on
+// an unsigned value or an out-of-range value is rejected, not truncated.
+bool parse_u64(const char* s, std::uint64_t* out, int base = 10) {
+  if (std::isdigit(static_cast<unsigned char>(*s)) == 0) return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(s, &end, base);
+  return errno == 0 && *end == '\0';
+}
+
+bool parse_int(const char* s, int* out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(s, &v) || v > static_cast<std::uint64_t>(INT_MAX))
+    return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool parse_prob(const char* s, double* out) {
+  if (*s == '\0' || std::isspace(static_cast<unsigned char>(*s)) != 0)
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(s, &end);
+  return errno == 0 && *end == '\0' && std::isfinite(*out);
+}
+
 // "R:V" (down at R forever) or "A-B:V" (down for rounds [A, B)).
 bool parse_crash(const char* s, sim::CrashSpan* out) {
-  char* end = nullptr;
-  out->from = std::strtoull(s, &end, 10);
+  const std::string spec = s;
+  const auto colon = spec.find(':');
+  if (colon == std::string::npos) return false;
+  const std::string span = spec.substr(0, colon);
+  const auto dash = span.find('-');
   out->until = sim::CrashSpan::kNever;
-  if (*end == '-') {
-    out->until = std::strtoull(end + 1, &end, 10);
-    if (out->until <= out->from) return false;
-  }
-  if (*end != ':') return false;
-  out->node = std::atoi(end + 1);
-  return true;
+  if (!parse_u64(span.substr(0, dash).c_str(), &out->from)) return false;
+  if (dash != std::string::npos &&
+      (!parse_u64(span.substr(dash + 1).c_str(), &out->until) ||
+       out->until <= out->from))
+    return false;
+  return parse_int(spec.c_str() + colon + 1, &out->node);
 }
 
 }  // namespace
@@ -132,7 +165,7 @@ int main(int argc, char** argv) {
       return false;
     };
     if (match("--threads")) {
-      threads = std::atoi(val);
+      bad_flag = !parse_int(val, &threads);
     } else if (match("--transport")) {
       if (std::strcmp(val, "shm") == 0)
         transport = sim::TransportKind::kShmRing;
@@ -141,13 +174,13 @@ int main(int argc, char** argv) {
       else
         bad_flag = true;
     } else if (match("--fault-seed")) {
-      faults.seed = std::strtoull(val, nullptr, 0);
+      bad_flag = !parse_u64(val, &faults.seed, 0);
     } else if (match("--drop")) {
-      faults.drop_prob = std::atof(val);
+      bad_flag = !parse_prob(val, &faults.drop_prob);
     } else if (match("--delay")) {
-      faults.delay_prob = std::atof(val);
+      bad_flag = !parse_prob(val, &faults.delay_prob);
     } else if (match("--dup")) {
-      faults.dup_prob = std::atof(val);
+      bad_flag = !parse_prob(val, &faults.dup_prob);
     } else if (match("--crash")) {
       sim::CrashSpan span;
       if (parse_crash(val, &span))
@@ -160,6 +193,10 @@ int main(int argc, char** argv) {
       pos.push_back(argv[i]);
     }
   }
+  int n = 512;
+  std::uint64_t seed = 1;
+  if (!bad_flag && pos.size() > 2) bad_flag = !parse_int(pos[2], &n) || n < 1;
+  if (!bad_flag && pos.size() > 3) bad_flag = !parse_u64(pos[3], &seed);
   if (bad_flag || pos.size() < 2 || threads < 1 ||
       threads > sim::ExecutionPolicy::kMaxThreads) {
     std::fprintf(stderr,
@@ -173,9 +210,6 @@ int main(int argc, char** argv) {
   }
   const std::string algorithm = pos[0];
   const std::string family = pos[1];
-  const int n = pos.size() > 2 ? std::atoi(pos[2]) : 512;
-  const std::uint64_t seed =
-      pos.size() > 3 ? std::strtoull(pos[3], nullptr, 10) : 1;
   sim::ExecutionPolicy policy{threads};
   policy.transport = transport;
 

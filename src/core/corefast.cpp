@@ -1,7 +1,6 @@
 #include "src/core/corefast.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pw::core {
 
@@ -147,79 +146,6 @@ shortcut::Shortcut corefast_claim(sim::Engine& eng, const graph::Partition& p,
     for (std::size_t k = 0; k < sc.parts_on[v].size(); ++k)
       PW_CHECK(sc.block_root_depth_on[v][k] >= 0);
   return sc;
-}
-
-CoreFastResult build_shortcut_random(sim::Engine& eng,
-                                     const graph::Partition& p,
-                                     const shortcut::SubPartDivision& d,
-                                     const NeighborLabels& labels,
-                                     const tree::SpanningForest& t,
-                                     const CoreFastConfig& cfg) {
-  const auto& g = eng.graph();
-  labels.check_matches(g, p);
-  const auto snap = eng.snap();
-  Rng rng(cfg.seed ^ 0xC0FEFA57ULL);
-
-  int max_iters = cfg.max_iterations;
-  if (max_iters <= 0)
-    max_iters = 2 * static_cast<int>(std::ceil(std::log2(std::max(2, g.n())))) + 4;
-
-  CoreFastResult out;
-  out.sc = shortcut::Shortcut::empty(g.n());
-  out.part_frozen.assign(p.num_parts, 0);
-  out.frozen_at.assign(p.num_parts, -1);
-  std::vector<char> skipped(p.num_parts, 0);
-  if (!cfg.skip_parts.empty()) {
-    PW_CHECK(static_cast<int>(cfg.skip_parts.size()) == p.num_parts);
-    skipped = cfg.skip_parts;
-    // Skipped parts count as settled for the termination condition but
-    // receive no edges and report part_frozen = 0.
-    for (int i = 0; i < p.num_parts; ++i)
-      if (skipped[i]) out.part_frozen[i] = 1;
-  }
-
-  for (int iter = 0; iter < max_iters && !out.all_frozen(); ++iter) {
-    // Line 3: run CoreFast on representatives of active parts. Active parts
-    // subsample themselves (probability 1/2 after the first attempt) — the
-    // contention halving behind [19, Lemma 4]'s progress guarantee.
-    std::vector<char> participating(p.num_parts, 0);
-    bool any = false;
-    for (int i = 0; i < p.num_parts; ++i) {
-      if (out.part_frozen[i]) continue;
-      participating[i] = (iter == 0) || rng.next_bool(0.5);
-      any = any || participating[i];
-    }
-    if (!any) continue;
-
-    const auto candidate =
-        corefast_claim(eng, p, d, t, participating, cfg.congestion_cap);
-
-    // Lines 4-5: verify the block parameter on the candidate (Algorithm 2)
-    // and freeze parts meeting the 3b target.
-    PaGivenConfig vcfg;
-    vcfg.mode = cfg.mode;
-    vcfg.delay_range = cfg.congestion_cap;
-    vcfg.seed = rng.next_u64();
-    // Only participating parts are verified; no other verdict is read.
-    const auto verdict = verify_block_parameter(
-        eng, p, d, labels, candidate, t, 3 * cfg.block_target, vcfg,
-        participating);
-    std::vector<char> newly_frozen(p.num_parts, 0);
-    for (int i = 0; i < p.num_parts; ++i) {
-      if (!participating[i] || !verdict.part_good[i]) continue;
-      out.part_frozen[i] = 1;
-      out.frozen_at[i] = iter;
-      newly_frozen[i] = 1;
-    }
-    // Line 6: the newly frozen parts keep their candidate edges.
-    shortcut::adopt_parts(out.sc, candidate, newly_frozen);
-  }
-
-  for (int i = 0; i < p.num_parts; ++i)
-    if (skipped[i]) out.part_frozen[i] = 0;
-  shortcut::annotate_block_roots(g, t, out.sc);
-  out.stats = eng.since(snap);
-  return out;
 }
 
 }  // namespace pw::core

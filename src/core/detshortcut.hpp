@@ -12,13 +12,11 @@
 // (at most floor(log2 n) levels on any leaf-root walk): sub-part
 // representatives of active parts seed claims at their positions, each
 // level's paths run Algorithm 7, and each sink pushes its surviving set
-// across its light edge into the parent path. After every level has run the
-// candidate shortcut is verified with Algorithm 2 (real traffic, sent by
-// the still unsettled parts only: settled parts' verdicts are not read) and
-// parts within 3x the block target freeze, halving the active set per
-// repetition (Lemma 6.7). Line 14's freeze keeps the frozen parts'
-// candidate edges through shortcut::adopt_parts, one O(n + claims) pass per
-// repetition shared with Algorithm 4 and PaSolver's doubling trick.
+// across its light edge into the parent path. det_claim is that claim pass
+// (lines 4-13). Line 14 — verify the candidate with Algorithm 2 for the
+// still unsettled parts and freeze those within 3x the block target,
+// halving the active set per repetition (Lemma 6.7) — is the one freeze
+// loop PaSolver::build_shortcut runs for Algorithm 4's candidates too.
 #pragma once
 
 #include "src/core/pa_given.hpp"
@@ -45,35 +43,16 @@ struct PathDoubleResult {
 PathDoubleResult path_shortcut_double(
     const std::vector<std::vector<int>>& initial_sets, int congestion_cap);
 
-struct DetShortcutConfig {
-  int congestion_cap = 1;  // c: sets of size >= 2c break their edge
-  int block_target = 1;    // freeze parts with <= 3 * block_target blocks
-  int max_repetitions = 0; // 0: ceil(log2 n) + 4
-  std::vector<char> skip_parts;
-  PaMode mode = PaMode::Deterministic;  // verification PA mode
-};
-
-struct DetShortcutResult {
-  shortcut::Shortcut sc;
-  std::vector<char> part_frozen;
-  std::vector<int> frozen_at;
-  sim::PhaseStats stats;
-
-  bool all_frozen() const {
-    for (char c : part_frozen)
-      if (!c) return false;
-    return true;
-  }
-};
-
-// Algorithm 8. `labels` are the partition's KT0 labels (announce_labels on
-// p and d); every verification reads them.
-DetShortcutResult build_shortcut_det(sim::Engine& eng,
-                                     const graph::Partition& p,
-                                     const shortcut::SubPartDivision& d,
-                                     const NeighborLabels& labels,
-                                     const tree::SpanningForest& t,
-                                     const tree::HeavyPaths& hp,
-                                     const DetShortcutConfig& cfg);
+// Algorithm 8 lines 4-13: one claim pass for the participating parts. Every
+// representative of a participating part seeds a claim; levels run
+// bottom-up, each charged its exact Lemma 6.6 schedule. Returns the
+// candidate shortcut with its block roots annotated (Algorithm 2 reads
+// them).
+shortcut::Shortcut det_claim(sim::Engine& eng, const graph::Partition& p,
+                             const shortcut::SubPartDivision& d,
+                             const tree::SpanningForest& t,
+                             const tree::HeavyPaths& hp,
+                             const std::vector<char>& participating,
+                             int congestion_cap);
 
 }  // namespace pw::core

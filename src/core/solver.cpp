@@ -79,47 +79,61 @@ void PaSolver::build_shortcut() {
 
   // Doubling trick over κ = max(b̂, ĉ): unfrozen parts retry at the doubled
   // guess; κ = n is a certain stop (no edge ever breaks, so every part's
-  // claims merge into a single block at the root of T).
+  // claims merge into a single block at the root of T). Each guess runs the
+  // claim → verify → freeze loop of Algorithm 4 (lines 3-6) or Algorithm 8
+  // (lines 4-14) for at most kCoreFastItersPerGuess attempts; the two differ
+  // only in the claim pass and in Algorithm 4's coins.
+  const bool randomized = cfg_.mode == PaMode::Randomized;
   std::vector<char> frozen(part_.num_parts, 0);
   auto all_frozen = [&] {
     return std::all_of(frozen.begin(), frozen.end(), [](char c) { return c; });
   };
   for (int guess = first_guess; !all_frozen(); guess *= 2) {
     PW_CHECK_MSG(guess <= 4 * g.n(), "shortcut doubling failed to converge");
-    std::vector<char> round_frozen;
-    shortcut::Shortcut round_sc;
-    if (cfg_.mode == PaMode::Deterministic) {
-      DetShortcutConfig dc;
-      dc.congestion_cap = guess;
-      dc.block_target = guess;
-      dc.max_repetitions = kCoreFastItersPerGuess;
-      dc.skip_parts = frozen;
-      auto round = build_shortcut_det(*eng_, part_, st_.div, st_.labels, st_.t,
-                                      st_.hp, dc);
-      round_frozen = std::move(round.part_frozen);
-      round_sc = std::move(round.sc);
-    } else {
-      CoreFastConfig cc;
-      cc.congestion_cap = guess;
-      cc.block_target = guess;
-      cc.max_iterations = kCoreFastItersPerGuess;
-      cc.seed = rng_.next_u64();
-      cc.mode = cfg_.mode;
-      cc.skip_parts = frozen;  // parts served at smaller guesses sit out
-      auto round =
-          build_shortcut_random(*eng_, part_, st_.div, st_.labels, st_.t, cc);
-      round_frozen = std::move(round.part_frozen);
-      round_sc = std::move(round.sc);
+    // Algorithm 4 draws its coins and verification seeds from a stream of
+    // its own per guess; Algorithm 8 draws nothing.
+    Rng rng(randomized ? rng_.next_u64() ^ 0xC0FEFA57ULL : 0);
+    for (int attempt = 0; attempt < kCoreFastItersPerGuess && !all_frozen();
+         ++attempt) {
+      // Unfrozen parts claim. After the first attempt a randomized part
+      // joins with probability 1/2, the contention halving behind
+      // [19, Lemma 4]'s progress guarantee.
+      std::vector<char> participating(part_.num_parts, 0);
+      bool any = false;
+      for (int i = 0; i < part_.num_parts; ++i) {
+        if (frozen[i]) continue;
+        participating[i] = !randomized || attempt == 0 || rng.next_bool(0.5);
+        any = any || participating[i];
+      }
+      if (!any) continue;
+      const auto candidate =
+          randomized ? corefast_claim(*eng_, part_, st_.div, st_.t,
+                                      participating, guess)
+                     : det_claim(*eng_, part_, st_.div, st_.t, st_.hp,
+                                 participating, guess);
+
+      // Verify the block parameter on the candidate (Algorithm 2) for the
+      // participating parts only, and freeze the parts within 3·guess
+      // blocks: they keep their candidate edges. A part left out of the
+      // verification reports part_good = 0, so part_good is exactly the set
+      // of newly frozen parts.
+      PaGivenConfig vcfg;
+      vcfg.mode = cfg_.mode;
+      if (randomized) {
+        vcfg.delay_range = guess;
+        vcfg.seed = rng.next_u64();
+      }
+      const auto verdict =
+          verify_block_parameter(*eng_, part_, st_.div, st_.labels, candidate,
+                                 st_.t, 3 * guess, vcfg, participating);
+      for (int i = 0; i < part_.num_parts; ++i) {
+        if (!verdict.part_good[i]) continue;
+        frozen[i] = 1;
+        st_.frozen_at_guess[i] = guess;
+        st_.final_guess = guess;
+      }
+      shortcut::adopt_parts(st_.sc, candidate, verdict.part_good);
     }
-    std::vector<char> newly_frozen(part_.num_parts, 0);
-    for (int i = 0; i < part_.num_parts; ++i) {
-      if (frozen[i] || !round_frozen[i]) continue;
-      frozen[i] = 1;
-      st_.frozen_at_guess[i] = guess;
-      st_.final_guess = std::max(st_.final_guess, guess);
-      newly_frozen[i] = 1;
-    }
-    shortcut::adopt_parts(st_.sc, round_sc, newly_frozen);
   }
   shortcut::annotate_block_roots(g, st_.t, st_.sc);
   st_.shortcut_stats = eng_->since(snap);

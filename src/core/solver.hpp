@@ -12,6 +12,15 @@
 // half of it keeps Theorem 1.2's Õ(bD + c) rounds, while the guesses below
 // it, which on a coarsened partition mostly freeze nothing, are skipped.
 //
+// Inside each guess build_shortcut runs the one claim → verify → freeze
+// loop of Algorithm 4 (randomized) and Algorithm 8 (deterministic): the
+// unfrozen parts claim a candidate (corefast_claim or det_claim, the only
+// mode-specific step), Algorithm 2 verifies it for the claiming parts, and
+// the parts within 3·κ blocks keep their candidate edges
+// (shortcut::adopt_parts). The loop's all-frozen test, per attempt and per
+// guess, runs centrally and is not charged to the engine; a network would
+// pay one aggregate on T for it (DESIGN.md §4).
+//
 // Strategies select between the paper's algorithm and the baselines the
 // paper argues against (Section 3.1):
 //   Ours        — sub-part division + constructed shortcut (Theorem 1.2)
@@ -37,8 +46,8 @@ struct PaSolverConfig {
   std::uint64_t seed = 1;
 };
 
-// Shortcut construction attempts per guess of the doubling (CoreFast
-// iterations, or the deterministic builder's repetitions).
+// Claim → verify → freeze attempts per guess of the doubling (Algorithm 4's
+// iterations, or Algorithm 8's repetitions).
 inline constexpr int kCoreFastItersPerGuess = 4;
 
 struct PaStructures {

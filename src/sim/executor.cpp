@@ -26,6 +26,23 @@ thread_local int tl_task = -1;
 // -1 between dispatches.
 thread_local int tl_thread = -1;
 
+// PW_WATCHDOG_MS is decimal digits only, 0 <= v <= INT_MAX. std::atoi read
+// "abc" and "-5" as "watchdog off" and overflowed on long digit strings.
+int parse_watchdog_ms(const char* text) {
+  long long v = 0;
+  bool ok = *text != '\0';
+  for (const char* c = text; ok && *c != '\0'; ++c) {
+    ok = *c >= '0' && *c <= '9';
+    v = v * 10 + (*c - '0');
+    ok = ok && v <= INT_MAX;
+  }
+  PW_CHECK_MSG(ok,
+               "PW_WATCHDOG_MS='%s' is not a decimal millisecond count in "
+               "[0, %d]",
+               text, INT_MAX);
+  return static_cast<int>(v);
+}
+
 std::int64_t mono_ns() {
   timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -97,7 +114,8 @@ Executor::Executor(int num_threads, int watchdog_ms)
           static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       num_threads_(num_threads < 1 ? 1 : num_threads) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): ctor runs before any worker exists
-  if (const char* e = std::getenv("PW_WATCHDOG_MS")) watchdog_ms = std::atoi(e);
+  if (const char* e = std::getenv("PW_WATCHDOG_MS"))
+    watchdog_ms = parse_watchdog_ms(e);
   watchdog_ns_ = static_cast<std::int64_t>(watchdog_ms > 0 ? watchdog_ms : 0) *
                  1'000'000LL;
   workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "src/core/detshortcut.hpp"
 #include "src/core/solver.hpp"
@@ -87,36 +88,37 @@ struct DetPipeline {
         labels(announce_labels(eng, p, div)) {}
 };
 
-TEST(DetShortcut, BuildsValidFrozenShortcut) {
-  Graph g = graph::gen::grid(6, 30);
-  Partition p = graph::grid_row_partition(6, 30);
-  p.elect_min_id_leaders();
-  DetPipeline pipe(g, p, 34);
-  DetShortcutConfig dc;
-  dc.congestion_cap = 8;
-  dc.block_target = 8;
-  const auto res = build_shortcut_det(pipe.eng, p, pipe.div, pipe.labels,
-                                      pipe.t, pipe.hp, dc);
-  EXPECT_TRUE(res.all_frozen());
-  shortcut::validate_shortcut(g, pipe.t, p, res.sc);
-  const auto blocks = shortcut::blocks_per_part(g, pipe.t, p, res.sc);
-  for (int i = 0; i < p.num_parts; ++i)
-    EXPECT_LE(blocks[i], 3 * dc.block_target);
-}
-
 TEST(DetShortcut, HighCapGivesOneBlock) {
   Graph g = graph::gen::grid(5, 24);
   Partition p = graph::grid_row_partition(5, 24);
   p.elect_min_id_leaders();
   DetPipeline pipe(g, p, 27);
-  DetShortcutConfig dc;
-  dc.congestion_cap = p.num_parts + 1;
-  dc.block_target = p.num_parts + 1;
-  const auto res = build_shortcut_det(pipe.eng, p, pipe.div, pipe.labels,
-                                      pipe.t, pipe.hp, dc);
-  EXPECT_TRUE(res.all_frozen());
-  const auto blocks = shortcut::blocks_per_part(g, pipe.t, p, res.sc);
+  const std::vector<char> all(p.num_parts, 1);
+  const auto sc = det_claim(pipe.eng, p, pipe.div, pipe.t, pipe.hp, all,
+                            p.num_parts + 1);
+  shortcut::validate_shortcut(g, pipe.t, p, sc);
+  const auto blocks = shortcut::blocks_per_part(g, pipe.t, p, sc);
   for (int i = 0; i < p.num_parts; ++i) EXPECT_LE(blocks[i], 1);
+}
+
+// Parts with a 0 in the mask seed no claim, so no edge carries them; the
+// others do claim.
+TEST(DetShortcut, ClaimSkipsMaskedParts) {
+  Graph g = graph::gen::grid(4, 20);
+  Partition p = graph::grid_row_partition(4, 20);
+  p.elect_min_id_leaders();
+  DetPipeline pipe(g, p, 22);
+  const auto sc =
+      det_claim(pipe.eng, p, pipe.div, pipe.t, pipe.hp, {0, 1, 0, 1}, 8);
+  int claimed = 0;
+  for (int v = 0; v < g.n(); ++v)
+    for (int part : sc.parts_on[v]) {
+      EXPECT_NE(part, 0);
+      EXPECT_NE(part, 2);
+      ++claimed;
+    }
+  EXPECT_GT(claimed, 0);
+  shortcut::validate_shortcut(g, pipe.t, p, sc);
 }
 
 TEST(DetShortcut, FullyDeterministic) {
@@ -125,13 +127,10 @@ TEST(DetShortcut, FullyDeterministic) {
   p.elect_min_id_leaders();
   auto run = [&] {
     DetPipeline pipe(g, p, 10);
-    DetShortcutConfig dc;
-    dc.congestion_cap = 4;
-    dc.block_target = 4;
-    const auto res =
-        build_shortcut_det(pipe.eng, p, pipe.div, pipe.labels, pipe.t,
-                           pipe.hp, dc);
-    return std::pair{res.sc.parts_on, pipe.eng.messages()};
+    const std::vector<char> all(p.num_parts, 1);
+    const auto sc = det_claim(pipe.eng, p, pipe.div, pipe.t, pipe.hp, all, 4);
+    return std::tuple{sc.parts_on, sc.block_root_depth_on, pipe.eng.rounds(),
+                      pipe.eng.messages()};
   };
   EXPECT_EQ(run(), run());
 }

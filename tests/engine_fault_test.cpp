@@ -549,5 +549,33 @@ TEST(Watchdog, WedgedCallbackAbortsWithDiagnostics) {
 #endif
 }
 
+// PW_WATCHDOG_MS is parsed strictly: text that is not a decimal count in
+// [0, INT_MAX] aborts with a message naming the variable and its text,
+// instead of silently turning the watchdog off (or overflowing an int).
+TEST(Watchdog, MalformedEnvOverrideAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  for (const char* bad : {"abc", "-5", "4x", " 7", "", "2147483648",
+                          "99999999999999999999"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("PW_WATCHDOG_MS", bad, 1);
+          Executor ex(1);
+        },
+        std::string("PW_WATCHDOG_MS='") + bad +
+            "' is not a decimal millisecond count")
+        << bad;
+  }
+  for (const char* good : {"0", "250", "2147483647"}) {
+    EXPECT_EXIT(
+        {
+          ::setenv("PW_WATCHDOG_MS", good, 1);
+          Executor ex(2);
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << good;
+  }
+}
+
 }  // namespace
 }  // namespace pw::sim

@@ -3,12 +3,10 @@
 #include <algorithm>
 
 #include "src/core/corefast.hpp"
-#include "src/core/detshortcut.hpp"
 #include "src/core/pa_given.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/properties.hpp"
 #include "src/tree/bfs.hpp"
-#include "src/tree/heavypath.hpp"
 
 namespace pw::core {
 namespace {
@@ -347,16 +345,6 @@ TEST(PaGiven, RejectsLabelsOfAnotherGraphOrPartition) {
                "76 arcs, 4 parts");
   EXPECT_DEATH(verify_block_parameter(pipe.eng, p, pipe.div, whole_labels,
                                       pipe.sc, pipe.t, 1),
-               kWant);
-  CoreFastConfig cc;
-  EXPECT_DEATH(
-      build_shortcut_random(pipe.eng, p, pipe.div, other_pipe.labels, pipe.t,
-                            cc),
-      kWant);
-  const auto hp = tree::heavy_path_decompose(pipe.eng, pipe.t);
-  DetShortcutConfig dc;
-  EXPECT_DEATH(build_shortcut_det(pipe.eng, p, pipe.div, whole_labels, pipe.t,
-                                  hp, dc),
                kWant);
 }
 

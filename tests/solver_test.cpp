@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/core/solver.hpp"
 #include "src/tree/bfs.hpp"
@@ -77,33 +76,9 @@ TEST(CoreFast, HighCapMergesEachPartIntoOneBlock) {
   for (int i = 0; i < p.num_parts; ++i) EXPECT_LE(blocks[i], 1) << i;
 }
 
-TEST(CoreFast, BuildFreezesEveryPart) {
-  Rng rng(53);
-  Graph g = graph::gen::random_connected(200, 500, rng);
-  Partition p = graph::random_bfs_partition(g, 10, rng);
-  p.elect_min_id_leaders();
-  sim::Engine eng(g);
-  const auto t = tree::build_bfs_tree(eng, 0);
-  const int D = std::max(1, t.height());
-  const auto div = shortcut::build_subpart_division_random(eng, p, D, rng);
-  CoreFastConfig cc;
-  cc.congestion_cap = 16;
-  cc.block_target = 16;
-  cc.seed = 99;
-  const auto labels = announce_labels(eng, p, div);
-  const auto res = build_shortcut_random(eng, p, div, labels, t, cc);
-  EXPECT_TRUE(res.all_frozen());
-  shortcut::validate_shortcut(g, t, p, res.sc);
-  // Accumulated congestion stays within iterations * cap.
-  EXPECT_LE(shortcut::congestion(res.sc),
-            cc.congestion_cap * (2 * static_cast<int>(std::log2(g.n())) + 4));
-  // Frozen parts truly meet the 3b target.
-  const auto blocks = shortcut::blocks_per_part(g, t, p, res.sc);
-  for (int i = 0; i < p.num_parts; ++i)
-    EXPECT_LE(blocks[i], 3 * cc.block_target);
-}
-
-TEST(CoreFast, SkipPartsReceiveNothing) {
+// Parts with a 0 in the mask send no claim, so no edge carries them; the
+// others do claim.
+TEST(CoreFast, ClaimSkipsMaskedParts) {
   Graph g = graph::gen::grid(4, 20);
   Partition p = graph::grid_row_partition(4, 20);
   p.elect_min_id_leaders();
@@ -111,19 +86,16 @@ TEST(CoreFast, SkipPartsReceiveNothing) {
   Rng rng(54);
   const auto t = tree::build_bfs_tree(eng, 0);
   const auto div = shortcut::build_subpart_division_random(eng, p, 22, rng);
-  CoreFastConfig cc;
-  cc.congestion_cap = 8;
-  cc.block_target = 8;
-  cc.skip_parts = {1, 0, 1, 0};
-  const auto labels = announce_labels(eng, p, div);
-  const auto res = build_shortcut_random(eng, p, div, labels, t, cc);
+  const auto sc = corefast_claim(eng, p, div, t, {0, 1, 0, 1}, 8);
+  int claimed = 0;
   for (int v = 0; v < g.n(); ++v)
-    for (int part : res.sc.parts_on[v]) {
+    for (int part : sc.parts_on[v]) {
       EXPECT_NE(part, 0);
       EXPECT_NE(part, 2);
+      ++claimed;
     }
-  EXPECT_FALSE(res.part_frozen[0]);
-  EXPECT_TRUE(res.part_frozen[1]);
+  EXPECT_GT(claimed, 0);
+  shortcut::validate_shortcut(g, t, p, sc);
 }
 
 TEST(Solver, CorrectAcrossStrategiesAndGraphs) {
