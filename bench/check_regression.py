@@ -10,13 +10,19 @@ of the metric across all samples, which is also how baselines are captured
 (run the bench a few times, pass every artifact, --update; a one-shot capture
 under load desensitizes the gate, a lucky-fast one cries wolf).
 
-Only the engine microbench is a hard gate: a matched row whose median
+Only the engine microbench gates on time: a matched row whose median
 ns_per_message regressed by more than the threshold (default 20%) fails with
 exit 1. The app benches (mst / mincut / noleader / cds_kdom) are ingested
-REPORT-ONLY — their per-row medians and ratios are printed for drift
-tracking, but they never fail CI: their wall clocks sit on top of whole
-algorithm stacks whose variance hasn't been characterized (ROADMAP), so a
-hard gate would cry wolf.
+REPORT-ONLY for time — their per-row medians and ratios are printed for drift
+tracking, but a slower row never fails CI: their wall clocks sit on top of
+whole algorithm stacks whose variance hasn't been characterized (ROADMAP), so
+a hard gate would cry wolf.
+
+Every benchmark, gated or not, is compared EXACTLY on its deterministic
+columns (each schema's `exact`: round and message counts plus the oracle
+verdicts on the output). They do not depend on the host, so any difference
+from the baseline — or between samples of one key — fails as a behaviour
+change until the baseline is refreshed on purpose.
 
 The engine has one round close (DESIGN.md §8), so rows carry no close-mode
 key; a `pipeline` field left in an older baseline row is ignored. The
@@ -49,43 +55,49 @@ METRIC = "ns_per_message"
 # Key fields absent from a row default here, so rows written before a key
 # column existed keep matching: `skew` predates the skewed_flood hot-band
 # sweep (8 = the historical top-n/8 band; non-skewed workloads
-# never carry the field, so they default identically on both sides), and
-# `transport` predates the §10 shared-memory ring backend ("inproc" was the
-# only data plane transport).
-KEY_DEFAULTS = {"skew": 8, "transport": "inproc"}
+# never carry the field, so they default identically on both sides).
+KEY_DEFAULTS = {"skew": 8}
 
 # Key fields per benchmark name (the "benchmark" field of the artifact).
-# `gated`: regressions FAIL; otherwise the comparison is report-only.
+# `gated`: ns_per_message regressions FAIL; otherwise that comparison is
+# report-only. `exact`: columns that must equal the baseline's, gated or not.
 SCHEMAS = {
     "engine_microbench": {
         "file": "BENCH_engine.json",
-        "keys": ("workload", "n", "threads", "skew", "transport"),
+        "keys": ("workload", "n", "threads", "skew"),
         "gated": True,
+        "exact": ("rounds", "messages"),
     },
     "mst_corollary_1_3": {
         "file": "BENCH_mst.json",
         "keys": ("graph", "strategy", "threads"),
         "gated": False,
+        "exact": ("rounds", "messages", "weight_ok"),
     },
     "mincut_corollary_1_4": {
         "file": "BENCH_mincut.json",
         "keys": ("graph", "eps", "threads"),
         "gated": False,
+        "exact": ("rounds", "messages", "exact_cut", "found_cut"),
     },
     "noleader_ablation_ab3": {
         "file": "BENCH_noleader.json",
         "keys": ("graph", "threads"),
         "gated": False,
+        "exact": ("with_leader_rounds", "with_leader_messages",
+                  "noleader_rounds", "noleader_messages"),
     },
     "cds_kdom_corollaries_a2_a3": {
         "file": "BENCH_cds_kdom.json",
         "keys": ("section", "graph", "primitive", "n", "k", "threads"),
         "gated": False,
+        "exact": ("rounds", "messages"),
     },
     "fault_degradation": {
         "file": "BENCH_fault.json",
         "keys": ("workload", "graph", "drop_prob", "threads"),
         "gated": False,
+        "exact": ("rounds", "messages", "completed"),
     },
 }
 
@@ -124,6 +136,24 @@ def fmt_key(key):
     return "/".join("-" if k is None else str(k) for k in key)
 
 
+def unstable_keys(row_lists, keys, columns):
+    """Keys whose samples disagree on an exact column, as
+    {key: (column, sorted distinct values)}. A deterministic count that
+    differs between two runs of the same code is itself a behaviour change
+    and cannot become a baseline."""
+    seen = {}
+    unstable = {}
+    for rows in row_lists:
+        for row in rows:
+            key = row_key(row, keys)
+            first = seen.setdefault(key, row)
+            for col in columns:
+                if key not in unstable and row.get(col) != first.get(col):
+                    values = {repr(row.get(col)), repr(first.get(col))}
+                    unstable[key] = (col, sorted(values))
+    return unstable
+
+
 def write_baseline(path, name, pooled, keys):
     """One representative row per key, its metric replaced by the median.
 
@@ -151,7 +181,9 @@ def write_baseline(path, name, pooled, keys):
 
 
 def compare(name, pooled, baseline_path, threshold):
-    """Prints the per-key report; returns the list of gating failures."""
+    """Prints the per-key report; returns (failure lines, number of keys
+    compared on the metric). Failures are gated ns_per_message regressions
+    and, on every schema, exact-column differences."""
     schema = SCHEMAS[name]
     gated = schema["gated"]
     print(f"== {name} ({'GATED' if gated else 'report-only'}) "
@@ -166,14 +198,20 @@ def compare(name, pooled, baseline_path, threshold):
                          f"match current {name!r}")
     base = pool_medians([base_rows], schema["keys"])
 
-    regressions = []
+    failures = []
     compared = 0
     for key in sorted(pooled, key=fmt_key):
-        _, cur_v, samples = pooled[key]
+        cur_row, cur_v, samples = pooled[key]
         if key not in base:
             print(f"  [new]      {fmt_key(key)}: no baseline row, skipped")
             continue
-        base_v = base[key][1]
+        base_row, base_v, _ = base[key]
+        for col in schema["exact"]:
+            if cur_row.get(col) != base_row.get(col):
+                line = (f"{fmt_key(key)}: {col} {base_row.get(col)!r} -> "
+                        f"{cur_row.get(col)!r} (behaviour change)")
+                print(f"  [CHANGED]  {line}")
+                failures.append(line)
         if cur_v is None or base_v is None:
             # A row can legitimately lack the metric (e.g. a phase that moved
             # zero messages): warn-and-skip rather than crash on the ratio or
@@ -191,7 +229,8 @@ def compare(name, pooled, baseline_path, threshold):
         if ratio > 1 + threshold:
             if gated:
                 tag = "REGRESSED"
-                regressions.append((key, base_v, cur_v, ratio))
+                failures.append(f"{fmt_key(key)}: {base_v:.1f} -> "
+                                f"{cur_v:.1f} {METRIC} ({ratio:.2f}x)")
             else:
                 tag = "slower (report-only)"
         elif ratio < 1 / (1 + threshold):
@@ -223,7 +262,7 @@ def compare(name, pooled, baseline_path, threshold):
     if oversized:
         print(f"  [skipped]  {oversized} baseline row(s): threads exceeds "
               f"host_threads={host} of this capture")
-    return regressions, compared
+    return failures, compared
 
 
 def main():
@@ -248,11 +287,18 @@ def main():
     if args.baseline and len(by_benchmark) > 1:
         raise SystemExit("--baseline only applies to single-benchmark input")
 
-    regressions = []
+    failures = []
     compared_gated = 0
     saw_gated = False
     for name, row_lists in by_benchmark.items():
         schema = SCHEMAS[name]
+        unstable = unstable_keys(row_lists, schema["keys"], schema["exact"])
+        for key, (col, values) in sorted(unstable.items(),
+                                         key=lambda kv: fmt_key(kv[0])):
+            failures.append(f"{name} {fmt_key(key)}: samples disagree on "
+                            f"{col}: {', '.join(values)} (behaviour change)")
+        if args.update and unstable:
+            continue
         pooled = pool_medians(row_lists, schema["keys"])
         baseline_path = args.baseline or os.path.join(BASELINE_DIR,
                                                       schema["file"])
@@ -260,24 +306,25 @@ def main():
             write_baseline(baseline_path, name, pooled, schema["keys"])
             continue
         fails, compared = compare(name, pooled, baseline_path, args.threshold)
-        regressions.extend(fails)
+        failures.extend(f"{name} {line}" for line in fails)
         if schema["gated"]:
             saw_gated = True
             compared_gated += compared
+    if failures:
+        note = (" (a benchmark whose samples disagree keeps its old baseline)"
+                if args.update else "")
+        print(f"\nFAIL: {len(failures)} behaviour change(s) or gated "
+              f"{METRIC} regression(s) beyond {args.threshold:.0%}{note}:")
+        for line in failures:
+            print(f"  {line}")
+        return 1
     if args.update:
         return 0
 
     if saw_gated and compared_gated == 0:
         print("error: no comparable rows for the gated benchmark")
         return 1
-    if regressions:
-        print(f"\nFAIL: {len(regressions)} gated row(s) regressed more than "
-              f"{args.threshold:.0%} on {METRIC}:")
-        for key, base_v, cur_v, ratio in regressions:
-            print(f"  {fmt_key(key)}: {base_v:.1f} -> {cur_v:.1f} "
-                  f"({ratio:.2f}x)")
-        return 1
-    print(f"\nOK: no gated regressions "
+    print(f"\nOK: counts and oracle columns match; no gated regressions "
           f"({compared_gated} gated row(s) within {args.threshold:.0%})")
     return 0
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Unit tests for check_regression.py's metric-less-row handling.
+"""Unit tests for check_regression.py.
 
 A BENCH_*.json row can legitimately lack ns_per_message (e.g. a phase that
 moved zero messages, or an emitter bug): the pooling keeps such keys visible,
 compare() must skip-and-warn on a None median on EITHER side instead of
 crashing on the ratio or silently counting the key as compared, and --update
 must never write a baseline row without the metric (it could never gate
-anything and would print [no data] forever).
+anything and would print [no data] forever). Counts and oracle columns are
+compared exactly on every schema (ExactColumnsTest).
 
 Run directly (python3 bench/test_check_regression.py) or via ctest
 (check_regression_py).
@@ -27,12 +28,10 @@ KEYS = cr.SCHEMAS["engine_microbench"]["keys"]
 
 
 def row(workload="flood_steady", n=1024, threads=1, metric=10.0,
-        skew=None, transport=None):
-    r = {"workload": workload, "n": n, "threads": threads}
+        skew=None, **extra):
+    r = {"workload": workload, "n": n, "threads": threads, **extra}
     if skew is not None:
         r["skew"] = skew
-    if transport is not None:
-        r["transport"] = transport
     if metric is not None:
         r[cr.METRIC] = metric
     return r
@@ -162,55 +161,114 @@ class SkewKeyTest(unittest.TestCase):
         self.assertEqual(regressions, [])
 
 
-class TransportKeyTest(unittest.TestCase):
-    """The transport column joined the engine schema after baselines existed
-    (the §10 shm ring backend): transport-less rows must keep gating against
-    explicit transport="inproc" rows (the KEY DEFAULT — in-proc was the only
-    data plane), while shm rows form distinct, independently gated keys."""
+def compare_against(name, current_rows, baseline_rows):
+    keys = cr.SCHEMAS[name]["keys"]
+    pooled = cr.pool_medians([current_rows], keys)
+    with tempfile.TemporaryDirectory() as tmp:
+        baseline = os.path.join(tmp, cr.SCHEMAS[name]["file"])
+        with open(baseline, "w") as f:
+            json.dump({"benchmark": name, "rows": baseline_rows}, f)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            failures, compared = cr.compare(name, pooled, baseline, 0.20)
+    return failures, compared, out.getvalue()
 
-    def _compare(self, current_rows, baseline_rows):
-        pooled = cr.pool_medians([current_rows], KEYS)
-        with tempfile.TemporaryDirectory() as tmp:
-            baseline = os.path.join(tmp, "BENCH_engine.json")
-            with open(baseline, "w") as f:
-                json.dump({"benchmark": "engine_microbench",
-                           "rows": baseline_rows}, f)
-            out = io.StringIO()
-            with redirect_stdout(out):
-                regressions, compared = cr.compare(
-                    "engine_microbench", pooled, baseline, 0.20)
-        return regressions, compared, out.getvalue()
 
-    def test_old_transportless_baseline_matches_explicit_inproc_row(self):
-        regressions, compared, _ = self._compare(
-            [row(threads=4, transport="inproc", metric=30.0)],
-            [row(threads=4, metric=10.0)])
-        self.assertEqual(compared, 1)  # matched despite the baseline's
-        self.assertEqual(len(regressions), 1)  # missing field — and gated
+class ExactColumnsTest(unittest.TestCase):
+    """Round/message counts and oracle verdicts do not depend on the host:
+    any difference from the baseline is a behaviour change and fails, on
+    report-only schemas too, however close the timings are."""
 
-    def test_shm_and_inproc_rows_are_distinct_keys(self):
-        pooled = cr.pool_medians(
-            [[row(threads=4, metric=10.0),
-              row(threads=4, transport="shm", metric=10.0)]], KEYS)
-        self.assertEqual(len(pooled), 2)
-
-    def test_new_shm_row_reports_as_new_against_old_baseline(self):
-        regressions, compared, out = self._compare(
-            [row(threads=4, metric=10.0),
-             row(threads=4, transport="shm", metric=99.0)],
-            [row(threads=4, metric=10.0)])
+    def test_equal_counts_pass(self):
+        failures, compared, out = compare_against(
+            "engine_microbench",
+            [row(metric=10.5, rounds=12, messages=6144)],
+            [row(metric=10.0, rounds=12, messages=6144)])
+        self.assertEqual(failures, [])
         self.assertEqual(compared, 1)
-        self.assertEqual(regressions, [])
+        self.assertNotIn("[CHANGED]", out)
+
+    def test_message_count_change_fails_on_gated_schema(self):
+        failures, compared, out = compare_against(
+            "engine_microbench",
+            [row(metric=10.0, rounds=12, messages=6143)],
+            [row(metric=10.0, rounds=12, messages=6144)])
+        self.assertEqual(len(failures), 1)
+        self.assertIn("messages 6144 -> 6143 (behaviour change)", failures[0])
+        self.assertIn("[CHANGED]", out)
+        self.assertEqual(compared, 1)  # the timing still compares
+
+    def test_round_count_change_fails_on_report_only_schema(self):
+        mst = {"graph": "GNM(n=1024)", "strategy": "ours", "threads": 1,
+               "weight_ok": "yes", "messages": 311101}
+        failures, _, _ = compare_against(
+            "mst_corollary_1_3",
+            [dict(mst, rounds=1668, ns_per_message=50.0)],
+            [dict(mst, rounds=3979, ns_per_message=50.0)])
+        self.assertEqual(len(failures), 1)
+        self.assertIn("rounds 3979 -> 1668", failures[0])
+
+    def test_oracle_verdict_change_fails(self):
+        cut = {"graph": "GNM(n=96)", "eps": 0.25, "threads": 1, "rounds": 9,
+               "messages": 90, "exact_cut": 3, "ns_per_message": 90.0}
+        failures, _, _ = compare_against(
+            "mincut_corollary_1_4",
+            [dict(cut, found_cut=4)], [dict(cut, found_cut=3)])
+        self.assertEqual(len(failures), 1)
+        self.assertIn("found_cut 3 -> 4", failures[0])
+
+    def test_column_missing_on_one_side_is_a_change(self):
+        arq = {"workload": "arq_flood", "graph": "general(GNM)",
+               "drop_prob": 0, "threads": 1, "rounds": 9, "messages": 6280,
+               "ns_per_message": 50.0}
+        failures, _, _ = compare_against(
+            "fault_degradation", [arq], [dict(arq, completed=1)])
+        self.assertEqual(len(failures), 1)
+        self.assertIn("completed 1 -> None", failures[0])
+
+    def test_new_key_is_not_compared(self):
+        failures, _, out = compare_against(
+            "engine_microbench",
+            [row(n=8192, rounds=3, messages=9)],
+            [row(rounds=12, messages=6144)])
+        self.assertEqual(failures, [])
         self.assertIn("[new]", out)
 
-    def test_shm_regression_gates_independently(self):
-        regressions, compared, _ = self._compare(
-            [row(threads=4, metric=10.0),
-             row(threads=4, transport="shm", metric=40.0)],
-            [row(threads=4, metric=10.0),
-             row(threads=4, transport="shm", metric=12.0)])
-        self.assertEqual(compared, 2)
-        self.assertEqual(len(regressions), 1)
+    def test_samples_that_disagree_are_unstable(self):
+        keys = cr.SCHEMAS["engine_microbench"]["keys"]
+        exact = cr.SCHEMAS["engine_microbench"]["exact"]
+        lists = [[row(rounds=12, messages=6144), row(n=8192, rounds=3)],
+                 [row(rounds=12, messages=6145), row(n=8192, rounds=3)]]
+        unstable = cr.unstable_keys(lists, keys, exact)
+        self.assertEqual(list(unstable),
+                         [cr.row_key(row(), keys)])
+        self.assertEqual(unstable[cr.row_key(row(), keys)],
+                         ("messages", ["6144", "6145"]))
+
+    def test_update_refuses_unstable_samples(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs = []
+            for i, messages in enumerate((6144, 6145)):
+                path = os.path.join(tmp, f"run{i}.json")
+                with open(path, "w") as f:
+                    json.dump({"benchmark": "engine_microbench",
+                               "rows": [row(rounds=12, messages=messages)]},
+                              f)
+                inputs.append(path)
+            baseline = os.path.join(tmp, "baseline.json")
+            argv = ["check_regression.py", *inputs, "--update",
+                    "--baseline", baseline]
+            out = io.StringIO()
+            saved = sys.argv
+            try:
+                sys.argv = argv
+                with redirect_stdout(out):
+                    status = cr.main()
+            finally:
+                sys.argv = saved
+            self.assertEqual(status, 1)
+            self.assertFalse(os.path.exists(baseline))
+            self.assertIn("samples disagree on messages", out.getvalue())
 
 
 class GoneRowTest(unittest.TestCase):

@@ -52,7 +52,27 @@ namespace {
 
 using namespace pw;
 
-graph::Graph make_graph(const std::string& family, int n, Rng& rng) {
+void print_usage(const char* prog) {
+  std::fprintf(stderr,
+               "usage: %s <pa|pa-noleader|mst|mincut|sssp|kdom|cds|arq> "
+               "<gnm|grid|torus|apex|ktree|caterpillar|path> [n=512] "
+               "[seed=1] [--threads K] [--fault-seed S] [--drop P] "
+               "[--delay P] [--dup P] [--crash R:V | --crash A-B:V]\n",
+               prog);
+}
+
+// Answers an n below the family's smallest instance with the usage line:
+// gnm draws 3n edges, which needs 3n <= n(n-1)/2 (n >= 7), and the 3-tree
+// starts from a 4-clique (n >= 4).
+graph::Graph make_graph(const std::string& family, int n, Rng& rng,
+                        const char* prog) {
+  const int min_n = family == "gnm" ? 7 : family == "ktree" ? 4 : 1;
+  if (n < min_n) {
+    std::fprintf(stderr, "family '%s' needs n >= %d\n", family.c_str(),
+                 min_n);
+    print_usage(prog);
+    std::exit(2);
+  }
   if (family == "gnm") return graph::gen::random_connected(n, 3 * n, rng);
   if (family == "grid") {
     int side = 2;
@@ -142,7 +162,6 @@ int main(int argc, char** argv) {
   // Pull "--flag V" / "--flag=V" options out of argv; the rest stay
   // positional. A trailing flag with no value is an error, not a positional.
   int threads = sim::ExecutionPolicy::hardware().num_threads;
-  sim::TransportKind transport = sim::TransportKind::kInProc;
   sim::FaultPolicy faults;
   bool bad_flag = false;
   std::vector<const char*> pos;
@@ -166,13 +185,6 @@ int main(int argc, char** argv) {
     };
     if (match("--threads")) {
       bad_flag = !parse_int(val, &threads);
-    } else if (match("--transport")) {
-      if (std::strcmp(val, "shm") == 0)
-        transport = sim::TransportKind::kShmRing;
-      else if (std::strcmp(val, "inproc") == 0)
-        transport = sim::TransportKind::kInProc;
-      else
-        bad_flag = true;
     } else if (match("--fault-seed")) {
       bad_flag = !parse_u64(val, &faults.seed, 0);
     } else if (match("--drop")) {
@@ -199,26 +211,17 @@ int main(int argc, char** argv) {
   if (!bad_flag && pos.size() > 3) bad_flag = !parse_u64(pos[3], &seed);
   if (bad_flag || pos.size() < 2 || threads < 1 ||
       threads > sim::ExecutionPolicy::kMaxThreads) {
-    std::fprintf(stderr,
-                 "usage: %s <pa|pa-noleader|mst|mincut|sssp|kdom|cds|arq> "
-                 "<gnm|grid|torus|apex|ktree|caterpillar|path> [n=512] "
-                 "[seed=1] [--threads K] [--transport inproc|shm] "
-                 "[--fault-seed S] [--drop P] "
-                 "[--delay P] [--dup P] [--crash R:V | --crash A-B:V]\n",
-                 argv[0]);
+    print_usage(argv[0]);
     return 2;
   }
   const std::string algorithm = pos[0];
   const std::string family = pos[1];
-  sim::ExecutionPolicy policy{threads};
-  policy.transport = transport;
+  const sim::ExecutionPolicy policy{threads};
 
   Rng rng(seed);
-  graph::Graph g = make_graph(family, n, rng);
-  std::printf("graph: %s  n=%d m=%d D~%d  threads=%d transport=%s\n",
-              family.c_str(), g.n(), g.m(), graph::diameter_estimate(g),
-              threads,
-              transport == sim::TransportKind::kShmRing ? "shm" : "inproc");
+  graph::Graph g = make_graph(family, n, rng, argv[0]);
+  std::printf("graph: %s  n=%d m=%d D~%d  threads=%d\n", family.c_str(),
+              g.n(), g.m(), graph::diameter_estimate(g), threads);
 
   core::PaSolverConfig cfg;
   cfg.seed = seed;

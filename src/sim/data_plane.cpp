@@ -17,7 +17,7 @@ void DataPlane::check_delivery_size(std::int64_t num_arcs, int mult) {
 }
 
 DataPlane::DataPlane(const graph::Graph& g, int max_shards,
-                     const FaultPolicy* faults, TransportKind transport)
+                     const FaultPolicy* faults)
     : g_(&g) {
   const bool faulty = faults != nullptr && faults->enabled();
   // Under faults: delayed-due + duplicated fresh, per arc per round.
@@ -76,26 +76,6 @@ DataPlane::DataPlane(const graph::Graph& g, int max_shards,
     staging_to_ =
         reinterpret_cast<int*>(staging_raw_.data() + arcs * sizeof(Incoming));
   }
-  // Transport (§10): stage() and the merge both address bucket (s → d)
-  // through the transport's per-bucket views, queried once here. The in-proc
-  // transport aliases every view straight to the staging arena — identity,
-  // never called; the shm-ring transport points cross-shard views INTO the
-  // ring frame regions, so staged bytes are wire bytes and the publish is
-  // copy-free. A single-shard plane has no cross-shard links:
-  // degenerate to in-proc.
-  if (transport == TransportKind::kShmRing && S > 1) {
-    transport_ = std::make_unique<ShmRingTransport>(S, bucket_base_,
-                                                    staging_to_, staging_inc_);
-    shm_transport_ = true;
-  } else {
-    transport_ = std::make_unique<InProcTransport>(S, bucket_base_,
-                                                   staging_to_, staging_inc_);
-  }
-  bucket_view_.resize(static_cast<std::size_t>(S) * S);
-  for (int d = 0; d < S; ++d)
-    for (int s = 0; s < S; ++s)
-      bucket_view_[static_cast<std::size_t>(d) * S + s] =
-          transport_->bucket(s, d);
 
   delivery_.resize(static_cast<std::size_t>(g.num_arcs()) *
                    static_cast<std::size_t>(delivery_mult_));
@@ -147,15 +127,12 @@ void DataPlane::stage(int v, int port, const Msg& m) {
   rec.stamp = round_id_;
 
   // Raw cursor store: the arc-stamp guard bounds the bucket fill by its
-  // exact arc-count capacity. The append goes through the bucket view —
-  // under the shm transport a cross-shard record lands directly at its wire
-  // offset in the ring frame (§10), so the publish has nothing left to copy.
+  // exact arc-count capacity.
   const int d = shard_of(rec.to);
   int& cur = bucket_cur(s, d);
-  const BucketView& bv =
-      bucket_view_[static_cast<std::size_t>(d) * num_shards_ + s];
-  bv.to[cur] = rec.to;
-  Incoming& inc = bv.inc[cur];
+  const auto [bto, binc] = bucket(s, d);
+  bto[cur] = rec.to;
+  Incoming& inc = binc[cur];
   ++cur;
   inc.from = v;
   inc.port = rec.port;
@@ -318,14 +295,11 @@ void DataPlane::count_in(Shard& sh, int to, int k) {
   }
 }
 
-// Fault verdict of one fresh staged record (§9), read off the bucket view by
+// Fault verdict of one fresh staged record (§9), read out of its bucket by
 // the caller. Both merge passes call this and must take identical branches:
 // all inputs — crash state, the (seed, round, receiver-side arc slot) hash —
 // are frozen for the round. Stats/enqueue side effects happen only in the
-// discovery (scatter) pass. Under a real transport the record is judged as
-// it leaves the link — the view points at the drained frame (§10) — and
-// carries identical (to, port) inputs, so verdicts land identically on every
-// transport.
+// discovery (scatter) pass.
 DataPlane::Fate DataPlane::fate_of(int to, const Incoming& inc, int d,
                                    bool discovery) {
   FaultPlane* const fp = fault_.get();
@@ -385,17 +359,11 @@ void DataPlane::scatter_due(int d) {
 void DataPlane::scatter_bucket(int d, int s) {
   Shard& sh = shards_[static_cast<std::size_t>(d)];
   const int cnt = bucket_cur(s, d);
-  const BucketView& bv =
-      bucket_view_[static_cast<std::size_t>(d) * num_shards_ + s];
-  // Every merge path scatters before it commits, so this is the single drain
-  // point of the §10 transport: a pure assertion that the frame the view
-  // points at is visible and carries `cnt` records. Non-blocking —
-  // publish_all ran before the merge dispatch started.
-  if (shm_transport_) transport_->drain(s, d, cnt);
+  const auto [bto, binc] = bucket(s, d);
   if (fault_ != nullptr) {
     for (int i = 0; i < cnt; ++i) {
-      const int to = bv.to[i];
-      switch (fate_of(to, bv.inc[i], d, /*discovery=*/true)) {
+      const int to = bto[i];
+      switch (fate_of(to, binc[i], d, /*discovery=*/true)) {
         case Fate::kOnce:
           count_in(sh, to, 1);
           break;
@@ -412,7 +380,7 @@ void DataPlane::scatter_bucket(int d, int s) {
     // count_in per record; already-woken receivers are inside the running
     // min/max by induction, so reducing over the WHOLE bucket — not just the
     // fresh wakes — lands on the same bounds.
-    const int* to = bv.to;
+    const int* to = bto;
     int lo = sh.wake_min;
     int hi = sh.wake_max;
     // VEC-GUARD: scatter-minmax
@@ -525,11 +493,10 @@ void DataPlane::commit_shard(int d, std::uint32_t next_stamp) {
     }
     for (int s = 0; s < S; ++s) {
       const int bcnt = bucket_cur(s, d);
-      const BucketView& bv =
-          bucket_view_[static_cast<std::size_t>(d) * S + s];
+      const auto [bto, binc] = bucket(s, d);
       for (int i = 0; i < bcnt; ++i) {
-        const int to = bv.to[i];
-        const Incoming& in = bv.inc[i];
+        const int to = bto[i];
+        const Incoming& in = binc[i];
         switch (fate_of(to, in, d, /*discovery=*/false)) {
           case Fate::kTwice:
             delivery_[static_cast<std::size_t>(
@@ -548,10 +515,7 @@ void DataPlane::commit_shard(int d, std::uint32_t next_stamp) {
   } else {
     for (int s = 0; s < S; ++s) {
       const int bcnt = bucket_cur(s, d);
-      const BucketView& bv =
-          bucket_view_[static_cast<std::size_t>(d) * S + s];
-      const int* to = bv.to;
-      const Incoming* inc = bv.inc;
+      const auto [to, inc] = bucket(s, d);
       // Prefetch branch peeled out of the copy: the main loop prefetches
       // unconditionally 8 records ahead, the short tail copies without the
       // lookahead — no per-iteration bounds test on the hot body.
@@ -569,29 +533,7 @@ void DataPlane::commit_shard(int d, std::uint32_t next_stamp) {
             inbox_run_[static_cast<std::size_t>(to[i])].end++)] = inc[i];
     }
   }
-  // The delivery copy above was this destination's LAST read of its drained
-  // frames: retire them so each link is free for the next round's in-place
-  // staging (§10). No-op in-proc and on loopback/zero-capacity links.
-  if (shm_transport_)
-    for (int s = 0; s < S; ++s)
-      if (s != d) transport_->retire(s, d);
   sh.dirty = false;
-}
-
-// Publish pass (§10): every nonzero link's frame — already staged in place
-// through the bucket view, so each publish is a count store plus the ring's
-// release bump — goes out here, on the caller thread, before the merges
-// dispatch. The dispatch's generation bump then orders publish before every
-// drain. The self bucket never leaves the staging arena.
-void DataPlane::publish_all() {
-  const int S = num_shards_;
-  for (int d = 0; d < S; ++d)
-    for (int s = 0; s < S; ++s) {
-      if (s == d) continue;
-      const auto b = static_cast<std::size_t>(d) * S + s;
-      if (bucket_base_[b + 1] > bucket_base_[b])
-        transport_->publish(s, d, bucket_cur(s, d));
-    }
 }
 
 std::uint32_t DataPlane::prepare_next_stamp() {
@@ -620,7 +562,6 @@ std::uint64_t DataPlane::close_round() {
 
 std::uint64_t DataPlane::end_round(Executor& ex) {
   const std::uint32_t next_stamp = prepare_next_stamp();
-  if (shm_transport_) publish_all();
   if (num_shards_ == 1) {
     merge_shard(0, next_stamp);
   } else {
@@ -675,10 +616,6 @@ void DataPlane::watchdog_dump() const {
                      cur, cap);
     }
   }
-  // Link liveness (§10): per-ring publish/consume indices. On a wedged close
-  // this names the stalled links — a ring still "awaiting publish" while the
-  // round cannot close is a producer that never returned.
-  transport_->watchdog_dump();
 }
 
 void DataPlane::debug_set_wrap_state(std::uint32_t round_id,

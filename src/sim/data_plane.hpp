@@ -31,13 +31,13 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/graph/graph.hpp"
 #include "src/sim/executor.hpp"
 #include "src/sim/fault_plane.hpp"
 #include "src/sim/message.hpp"
-#include "src/sim/transport.hpp"
 #include "src/util/check.hpp"
 
 namespace pw::sim {
@@ -50,15 +50,8 @@ class DataPlane {
   // duplicated fresh one), and the single-shard plane gives up its
   // stage()-time wake fast path so every shard count takes identical fault
   // decisions in identical places.
-  // `transport` (§10) selects what carries staged buckets between shards:
-  // kInProc aliases the merge's receive views to the staging arena (the
-  // identity transport — zero behavior change), kShmRing stages each
-  // cross-shard bucket in place in a shared-memory SPSC ring, publishes it
-  // before the merges dispatch, and the merge drains it before reading. Single-shard planes have no cross-shard
-  // links and degenerate to kInProc whatever was requested.
   DataPlane(const graph::Graph& g, int max_shards,
-            const FaultPolicy* faults = nullptr,
-            TransportKind transport = TransportKind::kInProc);
+            const FaultPolicy* faults = nullptr);
 
   // Aborts unless a delivery arena of num_arcs × mult entries (mult = 3
   // under faults, see above) fits the int offsets of inbox runs and delivery
@@ -70,9 +63,6 @@ class DataPlane {
 
   int num_shards() const { return num_shards_; }
   int shard_of(int v) const { return v >> shard_shift_; }
-  // The transport actually armed (kInProc when a single-shard plane
-  // degenerated a kShmRing request).
-  TransportKind transport_kind() const { return transport_->kind(); }
 
   // --- fault plane (§9) -----------------------------------------------------
   bool faulty() const { return fault_ != nullptr; }
@@ -255,19 +245,13 @@ class DataPlane {
   // The merge's two halves. scatter_due / scatter_bucket do the counting +
   // wake discovery (+ fault verdicts and their side effects) for the
   // delayed-due prefix / one feeder bucket; commit_shard assigns run offsets
-  // from the static delivery base, performs the stable delivery copy in
-  // ascending sender order, and retires the destination's drained frames.
-  // fate_of is the §9 verdict of one staged record, passed by value off the
-  // bucket view (both passes call it and must take identical branches; side
-  // effects only with discovery).
+  // from the static delivery base and performs the stable delivery copy in
+  // ascending sender order. fate_of is the §9 verdict of one staged record
+  // (both passes call it and must take identical branches; side effects
+  // only with discovery).
   void scatter_due(int d);
   void scatter_bucket(int d, int s);
   void commit_shard(int d, std::uint32_t next_stamp);
-  // §10 transport plumbing (skipped when the transport is in-proc):
-  // publishes every cross-shard bucket's frame — already staged in place
-  // through the bucket view, so each is a count store plus a release bump —
-  // on the caller thread, before the merges dispatch.
-  void publish_all();
   void count_in(Shard& sh, int to, int k);
   Fate fate_of(int to, const Incoming& inc, int d, bool discovery);
   void rebuild_active();
@@ -328,18 +312,15 @@ class DataPlane {
   Incoming* staging_inc_ = nullptr;  // element i: staging_raw_ byte i*sizeof
   int* staging_to_ = nullptr;        // after the payloads, same count
 
-  // The §10 transport and the per-bucket views BOTH sides use: stage()
-  // appends bucket (s → d)'s records through bucket_view_[d * S + s] and the
-  // merge (scatter, fault verdicts, the delivery copy) reads the same view —
-  // staged bytes ARE received bytes on every transport. In-proc every view
-  // aliases the staging arena and the transport is never called
-  // (shm_transport_ false — the pre-§10 behavior, bit for bit); under
-  // kShmRing cross-shard views point INTO the ring frame regions, so the
-  // publish is a pure release-bump and the merge reads frames in place,
-  // retiring each after the commit copied it out.
-  std::unique_ptr<Transport> transport_;
-  bool shm_transport_ = false;
-  std::vector<BucketView> bucket_view_;  // (d * S + s), fixed at construction
+  // Bucket (s → d)'s receiver-id run and payload run in the staging arena.
+  // stage() appends there and the merge (scatter, fault verdicts, delivery
+  // copy) reads the same slots back: staged bytes are received bytes.
+  std::pair<int*, Incoming*> bucket(int s, int d) const {
+    const auto base = static_cast<std::size_t>(
+        bucket_base_[static_cast<std::size_t>(d) * num_shards_ + s]);
+    return {staging_to_ + base, staging_inc_ + base};
+  }
+
   std::vector<int> bucket_base_;    // bucket (d, s) at [d * S + s], size S²+1
   std::vector<CurLine> bucket_cur_;
   std::vector<Incoming> delivery_;

@@ -24,7 +24,7 @@ Engine::Engine(const graph::Graph& g, ExecutionPolicy policy,
     : g_(&g),
       // A disabled fault policy (the default) arms nothing — same engine,
       // bit for bit.
-      dp_(g, checked_shards(policy), &faults, policy.transport),
+      dp_(g, checked_shards(policy), &faults),
       // Shard rounding can leave fewer shards than requested threads; never
       // spawn workers that could have no shard to own.
       exec_(dp_.num_shards(), policy.watchdog_ms),

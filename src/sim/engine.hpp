@@ -66,7 +66,7 @@ class Engine {
   // Chaos-mode engine (DESIGN.md §9): same round protocol, same accounting,
   // but the network may drop, delay, or duplicate messages and crash nodes
   // per `faults` — every decision a pure function of (seed, round, arc), so
-  // a fixed policy replays bit-identically at any thread count / transport.
+  // a fixed policy replays bit-identically at any thread count.
   Engine(const graph::Graph& g, ExecutionPolicy policy,
          const FaultPolicy& faults);
 
@@ -81,12 +81,6 @@ class Engine {
   // inner engines — e.g. min-cut's per-trial MST engines — pass this through
   // so parallelism follows the caller's choice across the whole stack.
   ExecutionPolicy policy() const { return policy_; }
-
-  // The transport actually carrying cross-shard buckets (§10): kShmRing when
-  // requested on a multi-shard engine, else kInProc (a single shard has no
-  // links to carry). Purely a data-plane property — delivery traces and
-  // accounting are bit-identical on either.
-  TransportKind transport_kind() const { return dp_.transport_kind(); }
 
   // Schedules v to be processed next round even if it receives no message.
   // On a faulty() engine the wake is suppressed (and counted) while v is

@@ -22,18 +22,6 @@
 
 namespace pw::sim {
 
-// Which transport carries staged buckets between shards (DESIGN.md §10).
-// kInProc — the identity transport: the merge reads the staging arena the
-// senders wrote, ordered by the dispatch barrier alone. The pre-§10 engine,
-// bit for bit, and the default. kShmRing — staged buckets live in
-// fixed-width SPSC shared-memory rings (one per nonzero cross-shard link),
-// are published before the merges dispatch and drained by the consuming
-// merge; delivery traces stay bit-identical, messages just really cross a
-// serialization boundary. Engines with a single shard have no links and
-// silently degenerate to kInProc. Defined here rather than transport.hpp so
-// ExecutionPolicy stays self-contained (transport.hpp includes this header).
-enum class TransportKind : std::uint8_t { kInProc = 0, kShmRing = 1 };
-
 // How Engine executes rounds. num_threads == 1 (the default) is the fully
 // sequential engine: no worker threads are spawned and every dispatch runs
 // inline. num_threads > 1 shards the data plane and runs callbacks and the
@@ -46,12 +34,9 @@ enum class TransportKind : std::uint8_t { kInProc = 0, kShmRing = 1 };
 // DESIGN.md §9 on the executor's dispatch barrier: if the caller's barrier
 // wait sees no executor-wide progress for a full window — a task that never
 // returns — the run aborts with a diagnostic dump (per-thread phase, per-
-// bucket fills, per-ring liveness) instead of hanging CI forever. The
+// shard sweep position, per-bucket fills) instead of hanging CI forever. The
 // PW_WATCHDOG_MS environment variable overrides the policy value for
 // whole-process tuning.
-// `transport` (default kInProc) selects what carries staged buckets between
-// shards — see TransportKind above. Purely a data-plane property: the round
-// close, the fault plane, and the accounting run unchanged on either.
 // Spell multi-field policies with designated initializers
 // (`{.num_threads = 4, .watchdog_ms = 0}`), so a removed or reordered field
 // is a compile error rather than a silent shift into the next one.
@@ -60,7 +45,6 @@ struct ExecutionPolicy {
 
   int num_threads = 1;
   int watchdog_ms = 60000;
-  TransportKind transport = TransportKind::kInProc;
 
   // The default multi-threaded policy: one worker per hardware thread, at
   // most kMaxThreads. What the examples and CLIs construct engines with

@@ -182,14 +182,18 @@ TEST(EngineDeterminism, GoldenActiveOrderTrace) {
 // count, not just the counts and the active order the goldens above pin.
 // BFS-tree construction exercises the shard-parallel run() callback path;
 // the trace is taken by a manual round loop re-reading what run() would see.
+// The star flood is the most skewed cross-shard traffic: the hub's shard
+// feeds every other shard, and the leaf shards leave their buckets empty.
 TEST(EngineDeterminism, GoldenDeliveryTraceIdenticalAcrossThreadCounts) {
   Rng rng(43);
   const auto inst = general_instance(512, rng);
+  const graph::Graph star = graph::gen::star(257);
 
-  auto delivery_trace = [&](sim::ExecutionPolicy policy) {
-    sim::Engine eng(inst.g, policy);
-    sim::TraceRecorder trace(inst.g.n());
-    std::vector<char> seen(static_cast<std::size_t>(inst.g.n()), 0);
+  auto delivery_trace = [](const graph::Graph& g,
+                           sim::ExecutionPolicy policy) {
+    sim::Engine eng(g, policy);
+    sim::TraceRecorder trace(g.n());
+    std::vector<char> seen(static_cast<std::size_t>(g.n()), 0);
     seen[0] = 1;
     eng.wake(0);
     while (!eng.idle()) {
@@ -202,7 +206,7 @@ TEST(EngineDeterminism, GoldenDeliveryTraceIdenticalAcrossThreadCounts) {
           fresh = true;
         }
         if (!fresh) continue;
-        for (int p = 0; p < inst.g.degree(v); ++p)
+        for (int p = 0; p < g.degree(v); ++p)
           eng.send(v, p,
                    sim::Msg{7, static_cast<std::uint64_t>(v), 0, 0});
       }
@@ -212,11 +216,13 @@ TEST(EngineDeterminism, GoldenDeliveryTraceIdenticalAcrossThreadCounts) {
     return trace;
   };
 
-  const auto reference = delivery_trace(sim::kPolicies[0]);
-  ASSERT_FALSE(reference.events().empty());
-  for (const auto policy : sim::kPolicies)
-    EXPECT_TRUE(sim::SameTrace(reference, delivery_trace(policy),
-                               sim::policy_name(policy)));
+  for (const graph::Graph* g : {&inst.g, &star}) {
+    const auto reference = delivery_trace(*g, sim::kPolicies[0]);
+    ASSERT_FALSE(reference.events().empty());
+    for (const auto policy : sim::kPolicies)
+      EXPECT_TRUE(sim::SameTrace(reference, delivery_trace(*g, policy),
+                                 sim::policy_name(policy)));
+  }
 }
 
 }  // namespace

@@ -5,13 +5,12 @@
 // (seed, round, receiver-side arc), nodes crash and reboot on a fixed
 // schedule. Because every verdict is a pure function of that triple, a fixed
 // seed must produce BIT-IDENTICAL delivery traces across every execution
-// policy — {1, 2, 4} threads, the sharded ones over both transports —
-// including under the forced round-id / wake-epoch wraps. These tests pin
-// that, the exact drop/delay/dup/crash semantics on tiny graphs where the
-// schedule can be computed by hand, the ARQ workload's completion guarantee
-// under chaos, and the §9 watchdog: a callback that never returns must
-// abort the wedged round with a per-thread, per-bucket, and per-ring dump
-// instead of hanging forever.
+// policy — {1, 2, 4} threads — including under the forced round-id /
+// wake-epoch wraps. These tests pin that, the exact drop/delay/dup/crash
+// semantics on tiny graphs where the schedule can be computed by hand, the
+// ARQ workload's completion guarantee under chaos, and the §9 watchdog: a
+// callback that never returns must abort the wedged round with a per-thread
+// and per-bucket dump instead of hanging forever.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,6 +24,7 @@
 
 #include "src/apps/arq.hpp"
 #include "src/graph/generators.hpp"
+#include "src/sim/data_plane.hpp"
 #include "src/sim/engine.hpp"
 #include "tests/policy_matrix.hpp"
 #include "tests/trace_recorder.hpp"
@@ -58,13 +58,8 @@ void expect_fault_trace_equal_across_policies(const Graph& g,
                                               const FaultPolicy& faults,
                                               Drive&& drive) {
   const auto reference = fault_trace_of(g, kPolicies[0], faults, drive);
-  for (auto policy : kPolicies) {
+  for (const auto policy : kPolicies) {
     if (policy.num_threads == 1) continue;
-    EXPECT_TRUE(SameTrace(reference, fault_trace_of(g, policy, faults, drive),
-                          policy_name(policy)));
-    // The §9 verdicts apply at the merge's receive views, so swapping the
-    // §10 transport under the same policy must not move a single fate.
-    policy.transport = TransportKind::kShmRing;
     EXPECT_TRUE(SameTrace(reference, fault_trace_of(g, policy, faults, drive),
                           policy_name(policy)));
   }
@@ -172,8 +167,8 @@ TEST(FaultTrace, IdenticalUnderForcedWraps) {
 // merges run in parallel, so each per-destination delay queue fills
 // concurrently with the other destinations'. Seven fault configurations
 // spanning every verdict type — and their compositions — must produce
-// bit-identical traces AND fault counters at {2,4} threads, on both
-// transports, vs the sequential reference.
+// bit-identical traces AND fault counters at {2,4} threads vs the
+// sequential reference.
 TEST(FaultTrace, SevenFaultConfigsIdenticalAcrossPolicies) {
   const Graph g = graph::gen::grid(8, 8);
   std::vector<FaultPolicy> configs(7);
@@ -199,13 +194,9 @@ TEST(FaultTrace, SevenFaultConfigsIdenticalAcrossPolicies) {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const auto reference =
         fault_trace_of(g, kPolicies[0], configs[i], chatter_drive);
-    for (auto policy : kPolicies) {
+    for (const auto policy : kPolicies) {
       if (policy.num_threads == 1) continue;
       const std::string label = "config " + std::to_string(i) + " ";
-      EXPECT_TRUE(SameTrace(reference,
-                            fault_trace_of(g, policy, configs[i], chatter_drive),
-                            label + policy_name(policy)));
-      policy.transport = TransportKind::kShmRing;
       EXPECT_TRUE(SameTrace(reference,
                             fault_trace_of(g, policy, configs[i], chatter_drive),
                             label + policy_name(policy)));
@@ -492,13 +483,12 @@ TEST(Watchdog, ArmedRunCompletes) {
 // shard and parks in the watched dispatch-barrier wait, the progress
 // signature freezes, and the watchdog must abort with its dump instead of
 // hanging. The stuck node lives in shard 1, so the thread parked in the
-// watched wait is thread 0 and the dump shows thread 1 mid-sweep. Under the
-// shm transport the dump ends with the per-ring liveness lines: no frame of
-// the wedged round was published, so the rings read "awaiting publish".
+// watched wait is thread 0 and the dump shows thread 1 mid-sweep. The data
+// plane's per-bucket lines follow: shard 1's nodes 16..19 ran before node 20
+// wedged, and each staged its message up into row 1, so bucket (1 -> 0)
+// holds 4 of its 8 slots.
 [[maybe_unused]] void run_with_wedged_callback(const Graph& g) {
-  const ExecutionPolicy policy{.num_threads = 4,
-                               .watchdog_ms = 1000,
-                               .transport = TransportKind::kShmRing};
+  const ExecutionPolicy policy{.num_threads = 4, .watchdog_ms = 1000};
   Engine eng(g, policy);
   for (int v = 0; v < g.n(); ++v) eng.wake(v);
   eng.run([&](int v) {
@@ -545,8 +535,33 @@ TEST(Watchdog, WedgedCallbackAbortsWithDiagnostics) {
   EXPECT_DEATH(run_with_wedged_callback(g),
                "PW_WATCHDOG: no executor progress.*thread 0 wedged in "
                "barrier-wait.*thread 1: phase=stage1-sweep task=1.*"
-               "ring \\(1 -> 0\\).*stalled: awaiting publish");
+               "bucket \\(1 -> 0\\): staged 4 of 8");
 #endif
+}
+
+// The data plane's half of the dump, read in-process: the death tests above
+// see it only through a forked child's stderr, and skip under TSan. Same
+// layout and traffic as run_with_wedged_callback's wedged round.
+TEST(Watchdog, DumpNamesShardRangesAndBucketFills) {
+  const Graph g = graph::gen::grid(8, 8);
+  DataPlane dp(g, 4);
+  dp.begin_round();
+  for (int v = 16; v < 20; ++v)
+    dp.stage(v, g.port_to(v, v - 8), Msg{1, 1, 0, 0});
+  ::testing::internal::CaptureStderr();
+  dp.watchdog_dump();
+  const std::string dump = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(dump.find("PW_WATCHDOG: shard 1: nodes [16,32) "),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("PW_WATCHDOG: bucket (1 -> 0): staged 4 of 8\n"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("PW_WATCHDOG: bucket (1 -> 2): staged 0 of 8\n"),
+            std::string::npos)
+      << dump;
+  // Shards 0 and 3 share no arc, so their empty buckets print nothing.
+  EXPECT_EQ(dump.find("bucket (0 -> 3)"), std::string::npos) << dump;
 }
 
 // PW_WATCHDOG_MS is parsed strictly: text that is not a decimal count in

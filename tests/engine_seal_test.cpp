@@ -111,7 +111,7 @@ TEST(EngineSeal, PlainFloodOnSkewedStar) {
 
 // Buckets with CAPACITY but zero staged traffic: the path edges carry the
 // flood while the long-range chords never carry a message — their buckets
-// reach the merge (and, under shm, the publish pass) with no staged entry.
+// reach the merge with no staged entry.
 TEST(EngineSeal, CapacityCarryingBucketWithZeroStagedMessages) {
   std::vector<graph::Edge> es;
   for (int v = 0; v < 63; ++v) es.push_back({v, v + 1, 1});

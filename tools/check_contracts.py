@@ -4,7 +4,7 @@
 Three checks over src/sim plus the DESIGN.md death-contract registry:
 
   A. Atomic-member layout: every `std::atomic` member must either live in
-     an `alignas`-grouped struct (ThreadState, RingHdr — the
+     an `alignas`-grouped struct (ThreadState — the
      contended-line grouping is the layout) or carry a
      `// SHARED-LINE(<why>)` marker recording that sharing its cache line
      is a decision, not an accident.
