@@ -12,7 +12,7 @@ namespace pw::apps {
 
 namespace {
 
-enum : std::uint16_t { kFragmentId = 21 };
+enum : std::uint16_t { kFragmentId = 21, kChosenEdge = 22 };
 
 constexpr std::uint64_t kNoEdge = ~0ULL;
 
@@ -43,6 +43,53 @@ void announce_fragments(sim::Engine& eng, const std::vector<int>& fragment_of,
   });
 }
 
+// Counts the fragments and the distinct edges they chose, so every node
+// learns how many fragments the merge leaves. `choice[v]` is the packed key
+// of the edge v's fragment chose (kNoEdge: none), `leads[v]` whether v leads
+// its fragment. First each endpoint of a chosen edge inside the choosing
+// fragment sends its id across the edge (one message per fragment), so it
+// learns whether the fragment on the far side chose the same edge; of such a
+// pair only the lower id counts the edge. Then one convergecast and one
+// broadcast on T sum the packed words (leaders << 32) + edges.
+struct MergeCount {
+  std::uint64_t fragments = 0, edges = 0;
+};
+
+MergeCount count_merge(sim::Engine& eng, const tree::SpanningForest& t,
+                       const std::vector<std::uint64_t>& choice,
+                       const std::vector<char>& leads) {
+  const auto& g = eng.graph();
+  std::vector<int> chosen_port(g.n(), -1);
+  std::vector<std::uint64_t> count(g.n(), 0);
+  for (int v = 0; v < g.n(); ++v) {
+    if (leads[v]) count[v] = 1ULL << 32;
+    if (choice[v] == kNoEdge) continue;
+    const int e = static_cast<int>(choice[v] & 0xffffffffULL);
+    if (g.edge(e).u != v && g.edge(e).v != v) continue;
+    for (int port = 0; port < g.degree(v); ++port)
+      if (g.arcs(v)[port].edge == e) chosen_port[v] = port;
+    count[v] += 1;
+    eng.wake(v);
+  }
+  // Woken endpoints send in the first round; receivers read in the second.
+  eng.run([&](int v) {
+    if (eng.inbox(v).empty()) {
+      eng.send(v, chosen_port[v],
+               sim::Msg{kChosenEdge, static_cast<std::uint64_t>(v), 0, 0});
+      return;
+    }
+    for (const auto& in : eng.inbox(v))
+      if (in.msg.tag == kChosenEdge && in.port == chosen_port[v] &&
+          in.msg.a < static_cast<std::uint64_t>(v))
+        count[v] -= 1;  // both fragments chose it; the lower id counts it
+  });
+  const auto sums = tree::forest_convergecast(eng, t, agg::sum(), count);
+  std::vector<std::uint64_t> at_root(g.n(), 0);
+  for (int r : t.roots) at_root[r] = sums[r];
+  const std::uint64_t total = tree::forest_broadcast(eng, t, at_root)[0];
+  return {total >> 32, total & 0xffffffffULL};
+}
+
 }  // namespace
 
 MstResult boruvka_mst(sim::Engine& eng, const core::PaSolverConfig& cfg) {
@@ -52,64 +99,78 @@ MstResult boruvka_mst(sim::Engine& eng, const core::PaSolverConfig& cfg) {
   out.in_mst.assign(g.m(), 0);
 
   core::PaSolver solver(eng, cfg);
+  const tree::SpanningForest& t = solver.tree();
 
-  // Fragment state: labels and, per fragment, its leader node.
+  // Fragment labels: every node starts as its own fragment.
   std::vector<int> fragment_of(g.n());
   std::iota(fragment_of.begin(), fragment_of.end(), 0);
 
-  // Each fragment partition is installed once. Phase 0 runs on the
-  // singletons; every later phase runs on the merged partition that PA #2
-  // of the phase before installed. from_labels numbers parts by first
+  // Phase 0 runs on the singletons without a partition: every edge leaves a
+  // singleton, so each node picks its lightest edge itself and leads its own
+  // fragment. Every later phase runs on the merged partition that PA #2 of
+  // the phase before installed. from_labels numbers parts by first
   // appearance and leaders are min-id, so relabelling the merged fragments
   // by their min old label yields that same partition (checked per phase).
   // Installing it announced every node's part to its neighbours, so an edge
   // leaves v's fragment exactly when the installed labels say the far end
   // is in another part; no phase announces fragment ids of its own.
-  solver.set_partition(graph::singleton_partition(g));
-
   const int max_phases = 2 * static_cast<int>(std::log2(std::max(2, g.n()))) + 4;
   for (int phase = 0;; ++phase) {
     PW_CHECK_MSG(phase < max_phases, "Boruvka failed to converge");
 
-    graph::Partition part = graph::Partition::from_labels(fragment_of);
-    part.elect_min_id_leaders();
-    PW_CHECK_MSG(part == solver.partition(),
-                 "fragment partition differs from the installed one at phase %d",
-                 phase);
-    const std::vector<int>& neighbor_part = solver.structures().labels.part;
+    // choice[v]: the lightest outgoing edge of v's fragment, as v knows it.
+    std::vector<std::uint64_t> choice(g.n(), kNoEdge);
+    std::vector<char> leads(g.n(), 0);
+    if (phase == 0) {
+      for (int v = 0; v < g.n(); ++v)
+        for (const auto& arc : g.arcs(v))
+          choice[v] = std::min(choice[v], pack_edge(g.edge(arc.edge).w, arc.edge));
+      std::fill(leads.begin(), leads.end(), 1);
+    } else {
+      graph::Partition part = graph::Partition::from_labels(fragment_of);
+      part.elect_min_id_leaders();
+      PW_CHECK_MSG(part == solver.partition(),
+                   "fragment partition differs from the installed one at phase %d",
+                   phase);
+      const std::vector<int>& neighbor_part = solver.structures().labels.part;
 
-    // PA #1: lightest outgoing edge per fragment.
-    std::vector<std::uint64_t> candidate(g.n(), kNoEdge);
-    for (int v = 0; v < g.n(); ++v)
-      for (int port = 0; port < g.degree(v); ++port) {
-        if (neighbor_part[g.arc_id(v, port)] == part.part_of[v]) continue;
-        const auto& arc = g.arcs(v)[port];
-        candidate[v] = std::min(candidate[v],
-                                pack_edge(g.edge(arc.edge).w, arc.edge));
-      }
-    const auto sel_snap = eng.snap();
-    const auto chosen = solver.aggregate(agg::min(), candidate);
-    out.select_stats += eng.since(sel_snap);
+      // PA #1: lightest outgoing edge per fragment.
+      std::vector<std::uint64_t> candidate(g.n(), kNoEdge);
+      for (int v = 0; v < g.n(); ++v)
+        for (int port = 0; port < g.degree(v); ++port) {
+          if (neighbor_part[g.arc_id(v, port)] == part.part_of[v]) continue;
+          const auto& arc = g.arcs(v)[port];
+          candidate[v] = std::min(candidate[v],
+                                  pack_edge(g.edge(arc.edge).w, arc.edge));
+        }
+      const auto sel_snap = eng.snap();
+      choice = solver.aggregate(agg::min(), candidate).node_value;
+      out.select_stats += eng.since(sel_snap);
+      for (int leader : part.leader) leads[leader] = 1;
+    }
 
     // Mark selected edges; a node marks the edge when it is an endpoint.
-    bool any = false;
-    for (int i = 0; i < part.num_parts; ++i) {
-      if (chosen.part_value[i] == kNoEdge) continue;
-      any = true;
-      const int e = static_cast<int>(chosen.part_value[i] & 0xffffffffULL);
-      out.in_mst[e] = 1;
-    }
-    if (!any) break;  // no fragment has an outgoing edge: spanning tree done
+    for (int v = 0; v < g.n(); ++v)
+      if (choice[v] != kNoEdge) out.in_mst[choice[v] & 0xffffffffULL] = 1;
+
+    // The chosen edges form a forest over the fragments, so the merge leaves
+    // fragments - edges of them. None chosen: nothing leaves any fragment.
+    // One left: the chosen edges complete the spanning tree, and no node
+    // needs the merged partition.
+    const MergeCount count = count_merge(eng, t, choice, leads);
+    if (count.edges == 0) break;
+    out.phases = phase + 1;
+    if (count.fragments - count.edges == 1) break;
 
     // Fragments merge along selected edges. The DSU mirrors what nodes know
     // distributedly (each endpoint marked its selected edges); PA #2 then
     // propagates the merged fragment's id (min old fragment id) to everyone.
-    graph::Dsu dsu(part.num_parts);
+    graph::Dsu dsu(g.n());
     for (int e = 0; e < g.m(); ++e)
       if (out.in_mst[e])
-        dsu.unite(part.part_of[g.edge(e).u], part.part_of[g.edge(e).v]);
+        dsu.unite(fragment_of[g.edge(e).u], fragment_of[g.edge(e).v]);
     std::vector<int> merged_label(g.n());
-    for (int v = 0; v < g.n(); ++v) merged_label[v] = dsu.find(part.part_of[v]);
+    for (int v = 0; v < g.n(); ++v) merged_label[v] = dsu.find(fragment_of[v]);
     graph::Partition merged = graph::Partition::from_labels(merged_label);
     merged.elect_min_id_leaders();
     solver.set_partition(merged);
@@ -120,7 +181,6 @@ MstResult boruvka_mst(sim::Engine& eng, const core::PaSolverConfig& cfg) {
     const auto relabeled = solver.aggregate(agg::min(), own_id);
     for (int v = 0; v < g.n(); ++v)
       fragment_of[v] = static_cast<int>(relabeled.node_value[v]);
-    out.phases = phase + 1;
   }
 
   for (int e = 0; e < g.m(); ++e)

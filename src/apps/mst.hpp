@@ -1,7 +1,9 @@
 // Distributed MST via Borůvka over Part-Wise Aggregation (Corollary 1.3).
 //
-// Every node starts as its own fragment. Each of the O(log n) Borůvka phases
-// runs two PA instances on the fragment partition:
+// Every node starts as its own fragment. Phase 0 needs no PA: every edge
+// leaves a singleton, so each node picks its lightest incident edge itself.
+// Each later Borůvka phase (O(log n) in all) runs two PA instances on the
+// fragment partition:
 //   1. min-outgoing-edge: f = min over packed (weight, edge) keys, where
 //      each node contributes its lightest edge leaving the fragment — the
 //      textbook PA instance the paper names in the corollary's proof;
@@ -10,6 +12,14 @@
 //      leader), restoring the "known leader" invariant for the next phase.
 // Each node knows its neighbors' fragments from the KT0 labels the solver
 // announces once per installed fragment partition (O(m) messages a phase).
+//
+// Every phase ends on a count on the BFS tree T: each endpoint of a chosen
+// edge sends one message across it, so mutually chosen edges are counted
+// once, then one convergecast and one broadcast on T sum the fragment
+// leaders and the distinct chosen edges. The chosen edges form a forest over
+// the fragments, so leaders − edges fragments remain after the merge; the
+// run stops when that is one (or when no edge was chosen), without
+// installing the one-part partition or running its relabel.
 //
 // MST is "solved" in the paper's sense: every node knows which of its
 // incident edges are MST edges. The returned edge set is global bookkeeping
@@ -26,6 +36,7 @@ struct MstResult {
   int phases = 0;
   sim::PhaseStats stats;        // everything, including PA structure builds
   sim::PhaseStats select_stats; // the min-outgoing-edge PA calls only
+                                // (none in phase 0)
 };
 
 // Runs Borůvka-over-PA on the engine's (connected, weighted) graph.

@@ -31,6 +31,11 @@ void PaSolver::ensure_global() {
   global_ready_ = true;
 }
 
+const tree::SpanningForest& PaSolver::tree() {
+  ensure_global();
+  return st_.t;
+}
+
 void PaSolver::build_division() {
   const auto snap = eng_->snap();
   if (cfg_.strategy == PaStrategy::NoSubparts) {

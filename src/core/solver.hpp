@@ -101,6 +101,13 @@ class PaSolver {
   // Solves one PA instance (Definition 1.1) on the installed partition.
   PaRunResult aggregate(const Agg& agg, const std::vector<std::uint64_t>& values);
 
+  // The BFS tree T rooted at the elected leader (Section 2.2), built by the
+  // first call to this or to set_partition, whichever comes first; the build
+  // draws from the solver's RNG in the same order either way. Callers that
+  // aggregate over the whole graph before installing a partition (Borůvka's
+  // phase 0 and its fragment count) run on it.
+  const tree::SpanningForest& tree();
+
   const graph::Partition& partition() const { return part_; }
   const PaStructures& structures() const { return st_; }
   sim::Engine& engine() { return *eng_; }

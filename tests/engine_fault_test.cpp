@@ -324,6 +324,39 @@ TEST(FaultSemantics, CrashShedsAndReboots) {
   EXPECT_TRUE(eng.crash_epochs(0).empty());
 }
 
+// A message from a down sender can exist only through a manual round loop
+// (down nodes run no callbacks). Node 0 sends while its crash span has it
+// down: the merge sheds the message because its sender was down when it was
+// sent (the receiver is up), counts it in messages_shed_crashed and never
+// delivers it. The send after the reboot arrives.
+TEST(FaultSemantics, SendFromDownSenderIsShed) {
+  const Graph g = graph::gen::path(2);
+  FaultPolicy faults;
+  faults.crashes = {{0, 0, 2}};  // node 0 down for rounds 0 and 1, up at 2
+  Engine eng(g, kSequential, faults);
+  std::vector<std::uint64_t> node1_rounds, delivered;
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    eng.begin_round();
+    for (const int v : eng.active_nodes()) {
+      if (v != 1) continue;
+      node1_rounds.push_back(eng.rounds());
+      for (const auto& in : eng.inbox(v)) delivered.push_back(in.msg.a);
+    }
+    if (round == 0 || round == 2) eng.send(0, 0, Msg{1, round, 0, 0});
+    eng.end_round();
+    if (round == 0) {
+      EXPECT_EQ(eng.fault_stats().messages_shed_crashed, 1u);
+    }
+  }
+  EXPECT_EQ(node1_rounds, std::vector<std::uint64_t>{3});
+  EXPECT_EQ(delivered, std::vector<std::uint64_t>{2});
+  EXPECT_EQ(eng.messages(), 2u);  // the shed send still counts as sent
+  const FaultStats fs = eng.fault_stats();
+  EXPECT_EQ(fs.messages_shed_crashed, 1u);
+  EXPECT_EQ(fs.messages_dropped, 0u);
+  EXPECT_EQ(fs.wakes_suppressed, 0u);
+}
+
 TEST(FaultSemantics, FaultFreeEngineReportsNothing) {
   const Graph g = graph::gen::path(4);
   Engine eng(g, kSequential);

@@ -96,6 +96,31 @@ TEST(Mst, PhasesLogarithmic) {
   EXPECT_GE(res.phases, 2);
 }
 
+// A star's leaves each have one edge, so phase 0's local choices already
+// span the graph: the count on T ends the run before any partition is
+// installed. Past the tree (leader election and BFS), only the chosen-edge
+// exchange (n messages) and the count's convergecast and broadcast
+// (n - 1 each) may send, so no labels announce, shortcut or PA wave ran.
+TEST(Mst, StarFinishesInPhaseZero) {
+  Rng rng(70);
+  const Graph g = graph::gen::with_random_weights(graph::gen::star(200), 1000, rng);
+  for (const auto mode : {core::PaMode::Randomized, core::PaMode::Deterministic}) {
+    SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode));
+    core::PaSolverConfig cfg;
+    cfg.mode = mode;
+    sim::Engine tree_eng(g);
+    core::PaSolver tree_solver(tree_eng, cfg);
+    tree_solver.tree();
+    const auto tree_messages = tree_solver.structures().tree_stats.messages;
+    sim::Engine eng(g);
+    const auto res = boruvka_mst(eng, cfg);
+    EXPECT_EQ(res.phases, 1);
+    EXPECT_EQ(res.in_mst, kruskal_mst_edges(g));
+    EXPECT_EQ(res.select_stats.messages, 0u);
+    EXPECT_LT(res.stats.messages, tree_messages + 3u * static_cast<unsigned>(g.n()));
+  }
+}
+
 TEST(Mst, CompleteGraphOnePhaseish) {
   Rng rng(67);
   Graph g = graph::gen::with_random_weights(graph::gen::complete(24), 9999, rng);
