@@ -12,11 +12,11 @@ under load desensitizes the gate, a lucky-fast one cries wolf).
 
 Only the engine microbench gates on time: a matched row whose median
 ns_per_message regressed by more than the threshold (default 20%) fails with
-exit 1. The app benches (mst / mincut / noleader / cds_kdom) are ingested
-REPORT-ONLY for time — their per-row medians and ratios are printed for drift
-tracking, but a slower row never fails CI: their wall clocks sit on top of
-whole algorithm stacks whose variance hasn't been characterized (ROADMAP), so
-a hard gate would cry wolf.
+exit 1. The app benches (mst / mincut / noleader / cds_kdom) and Table 2's
+PA set-up/query split are ingested REPORT-ONLY for time — their per-row
+medians and ratios are printed for drift tracking, but a slower row never
+fails CI: their wall clocks sit on top of whole algorithm stacks whose
+variance hasn't been characterized (ROADMAP), so a hard gate would cry wolf.
 
 Every benchmark, gated or not, is compared EXACTLY on its deterministic
 columns (each schema's `exact`: round and message counts plus the oracle
@@ -25,10 +25,9 @@ from the baseline — or between samples of one key — fails as a behaviour
 change until the baseline is refreshed on purpose.
 
 The engine has one round close (DESIGN.md §8), so rows carry no close-mode
-key; a `pipeline` field left in an older baseline row is ignored. The
-`skew` key is the skewed_flood hot-band denominator (senders = top n/skew
-ids); rows without it — all non-skewed workloads, plus skewed rows written
-before the sweep existed — default to the historical 8.
+key. The `skew` key is the skewed_flood hot-band denominator (senders = top
+n/skew ids); rows without it — all non-skewed workloads, plus skewed rows
+written before the sweep existed — default to the historical 8.
 Rows present on only one side are reported but never fail,
 so adding or retiring bench configurations (e.g. the autotuned thread sweep
 producing different thread counts on different runner classes) doesn't
@@ -92,6 +91,14 @@ SCHEMAS = {
         "keys": ("section", "graph", "primitive", "n", "k", "threads"),
         "gated": False,
         "exact": ("rounds", "messages"),
+    },
+    # Theorem 1.2's split: one set-up (set_partition) and one query
+    # (aggregate) per family and mode.
+    "table2_pa_runtimes": {
+        "file": "BENCH_table2.json",
+        "keys": ("family", "n", "mode"),
+        "gated": False,
+        "exact": ("rounds", "messages", "setup_rounds", "setup_messages"),
     },
     "fault_degradation": {
         "file": "BENCH_fault.json",

@@ -217,6 +217,24 @@ class ExactColumnsTest(unittest.TestCase):
         self.assertEqual(len(failures), 1)
         self.assertIn("found_cut 3 -> 4", failures[0])
 
+    def test_table2_setup_count_change_fails_without_a_time_gate(self):
+        pa = {"family": "planar(grid)", "n": 576, "mode": "rand",
+              "rounds": 48, "messages": 1150, "setup_rounds": 196}
+        failures, compared, out = compare_against(
+            "table2_pa_runtimes",
+            [dict(pa, setup_messages=20607, ns_per_message=500.0)],
+            [dict(pa, setup_messages=20606, ns_per_message=100.0)])
+        self.assertEqual(len(failures), 1)
+        self.assertIn("rand: setup_messages 20606 -> 20607", failures[0])
+        self.assertEqual(compared, 1)
+        self.assertIn("slower (report-only)", out)
+        failures, _, _ = compare_against(
+            "table2_pa_runtimes",
+            [dict(pa, setup_messages=20606, ns_per_message=500.0),
+             dict(pa, mode="det", setup_messages=1)],
+            [dict(pa, setup_messages=20606, ns_per_message=100.0)])
+        self.assertEqual(failures, [])
+
     def test_column_missing_on_one_side_is_a_change(self):
         arq = {"workload": "arq_flood", "graph": "general(GNM)",
                "drop_prob": 0, "threads": 1, "rounds": 9, "messages": 6280,

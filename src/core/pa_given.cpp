@@ -17,19 +17,15 @@ enum : std::uint16_t {
   kResult = 8,     // broadcast f(Pi) down the wave tree
 };
 
-// Wave-tree bookkeeping for one (node, part) participation.
+// Wave state of one (node, part) participation while the wave runs; the
+// wave's end records it into WaveTrees.
 struct Entry {
   int part = -1;
   int parent_port = -1;  // -1 at the wave origin (the part leader)
-  bool spread_done = false;
   bool up_done = false;
   bool down_done = false;
   bool is_block_root = false;
   std::vector<int> children_ports;
-  // Gather/scatter state.
-  std::uint64_t acc = 0;
-  int pending = 0;
-  bool fired = false;
 };
 
 // Outgoing message queue of one node. The CONGEST constraint allows one
@@ -45,10 +41,14 @@ struct OutItem {
 
 class Waveguide {
  public:
+  // Waves the parts with active[i] != 0 (all when empty) that have no tree
+  // in `trees` and records theirs; gather and scatter run on every tree in
+  // `trees`.
   Waveguide(sim::Engine& eng, const graph::Partition& p,
             const shortcut::SubPartDivision& d, const NeighborLabels& labels,
             const shortcut::Shortcut& s, const tree::SpanningForest& t,
-            const PaGivenConfig& cfg, const std::vector<char>& active)
+            const PaGivenConfig& cfg, WaveTrees& trees,
+            const std::vector<char>& active)
       : eng_(eng),
         g_(eng.graph()),
         p_(p),
@@ -58,16 +58,17 @@ class Waveguide {
         t_(t),
         cfg_(cfg),
         active_(active.empty() ? std::vector<char>(p.num_parts, 1) : active),
-        entries_(g_.n()),
+        trees_(trees),
         outbox_(g_.n()),
-        pending_origin_(g_.n(), 0),
         seq_(g_.n(), 0) {
     PW_CHECK(p.has_leaders());
     labels.check_matches(g_, p);
+    trees.check_matches(g_, p);
     PW_CHECK_MSG(static_cast<int>(active_.size()) == p.num_parts,
                  "active mask has %zu entries for %d parts", active_.size(),
                  p.num_parts);
-    precompute_hi_children();
+    for (int i = 0; i < p.num_parts; ++i)
+      if (trees.recorded[i]) active_[i] = 0;
   }
 
   // --- Stage 1: wave (Algorithm 1 lines 1-20). -----------------------------
@@ -79,8 +80,14 @@ class Waveguide {
   // executes a round exactly when the network isn't idle, and the skipped
   // rounds of an idle gap are genuine CONGEST rounds, charged as before.
   // Every part draws its delay, active or not, so a part's delay does not
-  // depend on the mask; only active parts' leaders start a wave.
+  // depend on the mask; only active parts' leaders start a wave. The wave
+  // ends by recording the active parts' trees, which sends nothing.
   void run_wave() {
+    if (std::none_of(active_.begin(), active_.end(), [](char a) { return a; }))
+      return;
+    entries_.assign(g_.n(), {});
+    pending_origin_.assign(g_.n(), 0);
+    precompute_hi_children();
     struct Start {
       int delay;
       int leader;
@@ -119,45 +126,50 @@ class Waveguide {
       }
     }
     eng_.run(step);  // every wave started; drain to quiescence
+    record();
   }
 
   // --- Stage 2: gather (line 21). ------------------------------------------
-  // contribution(v, e) supplies each participant's value; members typically
-  // contribute val(v), Steiner nodes the identity.
+  // Runs on every tree in trees_. contribution(v, k) supplies the value of
+  // v's entry k; members typically contribute val(v), Steiner nodes the
+  // identity.
   template <class ContributionFn>
   std::vector<std::uint64_t> run_gather(const Agg& agg, ContributionFn&& contribution) {
+    const WaveTrees& tr = trees_;
     std::vector<std::uint64_t> origin_value(p_.num_parts, agg.identity);
+    // Per entry: the running aggregate, and the children still to report
+    // (-1 once the entry has reported to its parent).
+    std::vector<std::uint64_t> acc(tr.part.size());
+    std::vector<int> pending(tr.part.size());
     for (int v = 0; v < g_.n(); ++v) {
-      bool any = false;
-      for (auto& e : entries_[v]) {
-        e.pending = static_cast<int>(e.children_ports.size());
-        e.acc = contribution(v, e);
-        e.fired = false;
-        any = true;
+      for (int k = tr.offset[v]; k < tr.offset[v + 1]; ++k) {
+        pending[k] = static_cast<int>(tr.children(k).size());
+        acc[k] = contribution(v, k);
       }
-      if (any) eng_.wake(v);
+      if (tr.offset[v] < tr.offset[v + 1]) eng_.wake(v);
     }
     eng_.run([&](int v) {
       for (const auto& in : eng_.inbox(v)) {
         if (in.msg.tag != kGather) continue;
-        Entry* e = find(v, static_cast<int>(in.msg.a));
-        PW_CHECK(e != nullptr);
-        e->acc = agg(e->acc, in.msg.b);
-        --e->pending;
-        PW_CHECK(e->pending >= 0);
+        const int k = tr.find(v, static_cast<int>(in.msg.a));
+        PW_CHECK(k >= 0);
+        acc[k] = agg(acc[k], in.msg.b);
+        --pending[k];
+        PW_CHECK(pending[k] >= 0);
       }
-      for (auto& e : entries_[v]) {
-        if (e.fired || e.pending != 0) continue;
-        e.fired = true;
-        if (e.parent_port >= 0) {
-          enqueue(v, e.parent_port, e.part,
-                  sim::Msg{kGather, static_cast<std::uint64_t>(e.part), e.acc, 0});
+      for (int k = tr.offset[v]; k < tr.offset[v + 1]; ++k) {
+        if (pending[k] != 0) continue;
+        pending[k] = -1;
+        const int part = tr.part[k];
+        if (tr.parent_port[k] >= 0) {
+          enqueue(v, tr.parent_port[k], part,
+                  sim::Msg{kGather, static_cast<std::uint64_t>(part), acc[k], 0});
         } else {
           // Uniquely-owned slot (§7 cookbook): only the wave origin — the
           // part's leader, one fixed node — ever has parent_port < 0 for
           // this part, so the write is single-writer under parallel
           // dispatch.
-          origin_value[e.part] = e.acc;
+          origin_value[part] = acc[k];
         }
       }
       flush(v);
@@ -166,29 +178,33 @@ class Waveguide {
   }
 
   // --- Stage 3: scatter (line 22). ------------------------------------------
-  // Returns the value delivered to each node (part members only).
+  // Runs on every tree in trees_. Returns the value delivered to each node
+  // (part members only).
   std::vector<std::uint64_t> run_scatter(const std::vector<std::uint64_t>& origin_value,
                                          std::uint64_t absent) {
+    const WaveTrees& tr = trees_;
     std::vector<std::uint64_t> delivered(g_.n(), absent);
+    const auto forward = [&](int v, int k, std::uint64_t value) {
+      const auto part = static_cast<std::uint64_t>(tr.part[k]);
+      for (int cp : tr.children(k))
+        enqueue(v, cp, tr.part[k], sim::Msg{kResult, part, value, 0});
+    };
     for (int i = 0; i < p_.num_parts; ++i) {
       const int li = p_.leader[i];
-      Entry* e = find(li, i);
-      if (e == nullptr) continue;
+      const int k = tr.find(li, i);
+      if (k < 0) continue;
       delivered[li] = origin_value[i];
-      for (int cp : e->children_ports)
-        enqueue(li, cp, i,
-                sim::Msg{kResult, static_cast<std::uint64_t>(i), origin_value[i], 0});
+      forward(li, k, origin_value[i]);
       eng_.wake(li);
     }
     eng_.run([&](int v) {
       for (const auto& in : eng_.inbox(v)) {
         if (in.msg.tag != kResult) continue;
         const int part = static_cast<int>(in.msg.a);
-        Entry* e = find(v, part);
-        PW_CHECK(e != nullptr);
+        const int k = tr.find(v, part);
+        PW_CHECK(k >= 0);
         if (p_.part_of[v] == part) delivered[v] = in.msg.b;
-        for (int cp : e->children_ports)
-          enqueue(v, cp, part, sim::Msg{kResult, in.msg.a, in.msg.b, 0});
+        forward(v, k, in.msg.b);
       }
       flush(v);
     });
@@ -207,7 +223,7 @@ class Waveguide {
       for (const auto& in : eng_.inbox(v)) {
         if (in.msg.tag != kNack) continue;
         if (labels_.part[g_.arc_id(v, in.port)] != p_.part_of[v]) continue;
-        if (find(v, p_.part_of[v]) != nullptr) objected[v] = 1;
+        if (trees_.find(v, p_.part_of[v]) >= 0) objected[v] = 1;
       }
       if (!nack_sent[v] && uninformed(v)) {
         nack_sent[v] = 1;
@@ -218,39 +234,66 @@ class Waveguide {
     return objected;
   }
 
-  // --- Wave results ----------------------------------------------------------
+  // --- Tree results ---------------------------------------------------------
+  // A part is covered when every member has an entry in its tree; a part
+  // with no tree in trees_ (not waved, not recorded) is not.
   std::vector<char> coverage() const {
     std::vector<char> covered(p_.num_parts, 1);
     for (int v = 0; v < g_.n(); ++v)
-      if (find(v, p_.part_of[v]) == nullptr) covered[p_.part_of[v]] = 0;
+      if (trees_.find(v, p_.part_of[v]) < 0) covered[p_.part_of[v]] = 0;
     return covered;
   }
 
+  // Shortcut blocks this call's wave touched, per part (0 for parts it did
+  // not wave).
   std::vector<std::uint64_t> blocks_touched() const {
     std::vector<std::uint64_t> count(p_.num_parts, 0);
-    for (int v = 0; v < g_.n(); ++v)
-      for (const auto& e : entries_[v])
-        if (e.is_block_root) ++count[e.part];
+    for (std::size_t k = 0; k < block_root_.size(); ++k)
+      if (block_root_[k]) ++count[trees_.part[k]];
     return count;
   }
 
   bool is_member(int v, int part) const { return p_.part_of[v] == part; }
   bool is_active(int part) const { return active_[part] != 0; }
+  // Whether entry k of trees_ is a block root this call's wave found.
+  bool is_block_root(int k) const { return block_root_[k] != 0; }
+
+ private:
+  bool in_active_part(int v) const { return active_[p_.part_of[v]] != 0; }
+  bool uninformed(int v) const {
+    return in_active_part(v) && trees_.find(v, p_.part_of[v]) < 0;
+  }
+
   Entry* find(int v, int part) {
     for (auto& e : entries_[v])
       if (e.part == part) return &e;
     return nullptr;
   }
-  const Entry* find(int v, int part) const {
-    for (const auto& e : entries_[v])
-      if (e.part == part) return &e;
-    return nullptr;
-  }
 
- private:
-  bool in_active_part(int v) const { return active_[p_.part_of[v]] != 0; }
-  bool uninformed(int v) const {
-    return in_active_part(v) && find(v, p_.part_of[v]) == nullptr;
+  // Records the wave's trees of the active parts into trees_ (no traffic)
+  // and drops the wave state.
+  void record() {
+    WaveTrees fresh = WaveTrees::none(g_.n(), p_.num_parts);
+    fresh.recorded = active_;
+    for (int v = 0; v < g_.n(); ++v) {
+      for (const Entry& e : entries_[v]) {
+        fresh.part.push_back(e.part);
+        fresh.parent_port.push_back(e.parent_port);
+        fresh.child_port.insert(fresh.child_port.end(),
+                                e.children_ports.begin(),
+                                e.children_ports.end());
+        fresh.child_end.push_back(static_cast<int>(fresh.child_port.size()));
+      }
+      fresh.offset[v + 1] = static_cast<int>(fresh.part.size());
+    }
+    trees_.adopt(std::move(fresh), active_);
+    block_root_.assign(trees_.part.size(), 0);
+    for (int v = 0; v < g_.n(); ++v)
+      for (const Entry& e : entries_[v])
+        if (e.is_block_root) block_root_[trees_.find(v, e.part)] = 1;
+    entries_ = {};
+    hi_children_ = {};
+    pending_origin_ = {};
   }
 
   void precompute_hi_children() {
@@ -324,7 +367,6 @@ class Waveguide {
       // Lines 13-15: spread through the sub-part tree and across edges that
       // exit sub-parts; line 18's route-to-representative is the same tree
       // spread seen from below.
-      e.spread_done = true;
       const sim::Msg token{kToken, static_cast<std::uint64_t>(part), 0, 0};
       const int tp = d_.forest.parent_port[v];
       if (tp >= 0 && tp != parent_port) enqueue(v, tp, -1, token);
@@ -412,13 +454,17 @@ class Waveguide {
   const shortcut::Shortcut& s_;
   const tree::SpanningForest& t_;
   PaGivenConfig cfg_;
-  std::vector<char> active_;  // per part; only active parts send anything
+  std::vector<char> active_;  // per part: waved by this call
+  WaveTrees& trees_;          // what gather and scatter run on
 
+  // Wave state, held only while the wave runs.
   std::vector<std::vector<Entry>> entries_;
-  std::vector<std::vector<OutItem>> outbox_;
   std::vector<char> pending_origin_;
   // Per parent node: (part, child port) pairs with that child edge in Hi.
   std::vector<std::vector<std::pair<int, int>>> hi_children_;
+
+  std::vector<char> block_root_;  // per entry of trees_: this wave's roots
+  std::vector<std::vector<OutItem>> outbox_;
   std::vector<std::uint64_t> seq_;
 };
 
@@ -474,15 +520,74 @@ NeighborLabels announce_labels(sim::Engine& eng, const graph::Partition& p,
   return l;
 }
 
+WaveTrees WaveTrees::none(int n, int num_parts) {
+  WaveTrees w;
+  w.recorded.assign(num_parts, 0);
+  w.offset.assign(n + 1, 0);
+  return w;
+}
+
+void WaveTrees::adopt(WaveTrees&& from, const std::vector<char>& keep) {
+  const int n = num_nodes();
+  PW_CHECK_MSG(from.num_nodes() == n && from.num_parts() == num_parts() &&
+                   static_cast<int>(keep.size()) == num_parts(),
+               "wave trees for n=%d, %d parts cannot adopt trees for n=%d, "
+               "%d parts (keep mask of %zu)",
+               n, num_parts(), from.num_nodes(), from.num_parts(), keep.size());
+  bool holds_none = true, takes_all = true;
+  for (int i = 0; i < num_parts(); ++i) {
+    PW_CHECK_MSG(!keep[i] || (from.recorded[i] && !recorded[i]),
+                 "part %d: adopting a tree that is %s", i,
+                 recorded[i] ? "already recorded" : "not in the source");
+    holds_none = holds_none && !recorded[i];
+    takes_all = takes_all && (keep[i] != 0) == (from.recorded[i] != 0);
+  }
+  if (holds_none && takes_all) {
+    *this = std::move(from);
+    return;
+  }
+  WaveTrees out = none(n, num_parts());
+  for (int i = 0; i < num_parts(); ++i)
+    out.recorded[i] = recorded[i] || keep[i];
+  const auto copy = [&out](const WaveTrees& src, int k) {
+    out.part.push_back(src.part[k]);
+    out.parent_port.push_back(src.parent_port[k]);
+    const auto kids = src.children(k);
+    out.child_port.insert(out.child_port.end(), kids.begin(), kids.end());
+    out.child_end.push_back(static_cast<int>(out.child_port.size()));
+  };
+  for (int v = 0; v < n; ++v) {
+    for (int k = offset[v]; k < offset[v + 1]; ++k) copy(*this, k);
+    for (int k = from.offset[v]; k < from.offset[v + 1]; ++k)
+      if (keep[from.part[k]]) copy(from, k);
+    out.offset[v + 1] = static_cast<int>(out.part.size());
+  }
+  *this = std::move(out);
+}
+
+void WaveTrees::check_matches(const graph::Graph& g,
+                              const graph::Partition& p) const {
+  PW_CHECK_MSG(num_nodes() == g.n() && num_parts() == p.num_parts,
+               "wave trees were recorded for n=%d, %d parts but are used on "
+               "n=%d, %d parts",
+               num_nodes(), num_parts(), g.n(), p.num_parts);
+}
+
 PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
                        const shortcut::SubPartDivision& d,
                        const NeighborLabels& labels,
                        const shortcut::Shortcut& s,
                        const tree::SpanningForest& t, const Agg& agg,
                        const std::vector<std::uint64_t>& values,
-                       const PaGivenConfig& cfg) {
-  PW_CHECK(static_cast<int>(values.size()) == eng.graph().n());
-  Waveguide wg(eng, p, d, labels, s, t, cfg, /*active=*/{});
+                       const PaGivenConfig& cfg, WaveTrees* trees) {
+  const int n = eng.graph().n();
+  PW_CHECK_MSG(static_cast<int>(values.size()) == n,
+               "pa_given: %zu values for a graph of %d nodes", values.size(),
+               n);
+  WaveTrees local;
+  WaveTrees& tr = trees != nullptr ? *trees : local;
+  if (tr.offset.empty()) tr = WaveTrees::none(n, p.num_parts);
+  Waveguide wg(eng, p, d, labels, s, t, cfg, tr, /*active=*/{});
 
   PaGivenResult r;
   auto snap = eng.snap();
@@ -492,8 +597,8 @@ PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
   r.blocks_touched = wg.blocks_touched();
 
   snap = eng.snap();
-  r.part_value = wg.run_gather(agg, [&](int v, const Entry& e) {
-    return wg.is_member(v, e.part) ? values[v] : agg.identity;
+  r.part_value = wg.run_gather(agg, [&](int v, int k) {
+    return wg.is_member(v, tr.part[k]) ? values[v] : agg.identity;
   });
   r.gather_stats = eng.since(snap);
 
@@ -511,7 +616,9 @@ VerifyResult verify_block_parameter(sim::Engine& eng,
                                     const tree::SpanningForest& t,
                                     int b_target, const PaGivenConfig& cfg,
                                     const std::vector<char>& active) {
-  Waveguide wg(eng, p, d, labels, s, t, cfg, active);
+  VerifyResult out;
+  out.trees = WaveTrees::none(eng.graph().n(), p.num_parts);
+  Waveguide wg(eng, p, d, labels, s, t, cfg, out.trees, active);
   const auto snap = eng.snap();
   wg.run_wave();
 
@@ -522,15 +629,14 @@ VerifyResult verify_block_parameter(sim::Engine& eng,
   // objected and how many blocks its part has. The packed value keeps both
   // counts in one O(log n)-bit word.
   const Agg sum = agg::sum();
-  auto packed = wg.run_gather(sum, [&](int v, const Entry& e) -> std::uint64_t {
+  auto packed = wg.run_gather(sum, [&](int v, int k) -> std::uint64_t {
     std::uint64_t x = 0;
-    if (wg.is_member(v, e.part) && objected[v]) x += (1ULL << 32);
-    if (e.is_block_root) x += 1;
+    if (wg.is_member(v, out.trees.part[k]) && objected[v]) x += (1ULL << 32);
+    if (wg.is_block_root(k)) x += 1;
     return x;
   });
   wg.run_scatter(packed, 0);
 
-  VerifyResult out;
   out.stats = eng.since(snap);
   out.part_good.assign(p.num_parts, 0);
   out.blocks_counted.assign(p.num_parts, 0);

@@ -11,12 +11,19 @@
 //             1-20). Every participant (part members and the Steiner nodes
 //             of T that block routes traverse) records the channel it first
 //             heard the token on, which assembles a "wave tree" per part.
+//             The trees are kept (WaveTrees): recording sends nothing, and a
+//             part whose tree is already recorded is not waved again.
 //   Gather  — f(Pi) is computed at li by convergecast over the wave tree
 //             (Algorithm 1 line 21, "symmetrically to lines 1-20": the wave
-//             tree's reversal IS that symmetric schedule; it retraces
-//             exactly the channels of the wave, so rounds, messages and
-//             per-edge congestion match the forward run).
+//             tree's reversal IS that symmetric schedule, one message per
+//             tree edge).
 //   Scatter — f(Pi) is broadcast back down the wave tree (line 22).
+//
+// Gather and scatter send one message per tree edge each, whichever wave
+// recorded the tree. PaSolver records every part's tree from the Algorithm 2
+// verification that freezes the part (the wave of verify_block_parameter
+// runs on exactly the part's final Hi), so its queries are gather plus
+// scatter alone (DESIGN.md §4).
 //
 // Contention is resolved per directed edge with the scheduling rule of
 // Lemma 4.2: block packets are prioritized by the depth of their block root
@@ -76,6 +83,56 @@ struct NeighborLabels {
 NeighborLabels announce_labels(sim::Engine& eng, const graph::Partition& p,
                                const shortcut::SubPartDivision& d);
 
+// The wave trees of one partition's parts, kept so that later queries on the
+// same structures gather and scatter without waving again. Each participant
+// of part i's tree (every member, and every Steiner node of T that i's
+// blocks route through) holds one entry: the part, the port toward its wave
+// parent (-1 at the part's leader) and the ports toward its wave children.
+// A node holds its own part's entry and one per part whose Hi contains a T
+// edge at the node: at most 1 + c·deg_T(v), since the top of several blocks
+// holds one entry per block.
+//
+// Flat per-node arrays: node v's entries are [offset[v], offset[v + 1]),
+// and entry k's child ports are child_port[child_begin(k), child_end[k]).
+// That is 12 bytes per entry plus 4 per child port; every entry but a
+// leader's is the lower end of one tree edge.
+struct WaveTrees {
+  std::vector<char> recorded;    // per part: its tree is stored
+  std::vector<int> offset;       // per node, plus one
+  std::vector<int> part;         // per entry
+  std::vector<int> parent_port;  // per entry; -1 at the part's leader
+  std::vector<int> child_end;    // per entry
+  std::vector<int> child_port;   // per tree edge, at its upper end
+
+  // Sized for n nodes and num_parts parts, no tree recorded.
+  static WaveTrees none(int n, int num_parts);
+
+  int num_nodes() const { return static_cast<int>(offset.size()) - 1; }
+  int num_parts() const { return static_cast<int>(recorded.size()); }
+  // Tree edges over all recorded parts: one gather and one scatter message
+  // each.
+  std::size_t edges() const { return child_port.size(); }
+  int child_begin(int k) const { return k == 0 ? 0 : child_end[k - 1]; }
+  std::span<const int> children(int k) const {
+    const auto b = static_cast<std::size_t>(child_begin(k));
+    const auto e = static_cast<std::size_t>(child_end[k]);
+    return {child_port.data() + b, e - b};
+  }
+  // Index of v's entry for `p`, or -1 when v is not in p's tree.
+  int find(int v, int p) const {
+    for (int k = offset[v]; k < offset[v + 1]; ++k)
+      if (part[k] == p) return k;
+    return -1;
+  }
+
+  // Takes over the trees of `from` whose parts have keep[i] != 0. Each kept
+  // part must be recorded in `from` and not yet here. One pass over both.
+  void adopt(WaveTrees&& from, const std::vector<char>& keep);
+
+  // Aborts unless the trees are sized for g's nodes and p's parts.
+  void check_matches(const graph::Graph& g, const graph::Partition& p) const;
+};
+
 struct PaGivenConfig {
   PaMode mode = PaMode::Deterministic;
   // Randomized mode draws each part's start delay uniformly from
@@ -117,13 +174,22 @@ struct PaGivenResult {
 // p; labels were announced for (p, d); s is a T-restricted shortcut for p on
 // tree t (possibly empty). The announce is not repeated here: the result's
 // stats count the wave, gather and scatter only.
+//
+// `trees` (optional, in/out) holds wave trees recorded on these structures;
+// an empty WaveTrees counts as none recorded. Only the parts without a tree
+// are waved (under the delays they would draw with every part waved), their
+// trees are recorded into `trees`, covered or not, and gather and scatter
+// run on every part's tree. A reused part reports blocks_touched = 0 and
+// part_covered from its recorded tree. Without `trees` every part is waved
+// and nothing is kept.
 PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
                        const shortcut::SubPartDivision& d,
                        const NeighborLabels& labels,
                        const shortcut::Shortcut& s,
                        const tree::SpanningForest& t, const Agg& agg,
                        const std::vector<std::uint64_t>& values,
-                       const PaGivenConfig& cfg = {});
+                       const PaGivenConfig& cfg = {},
+                       WaveTrees* trees = nullptr);
 
 // Algorithm 2: block-parameter verification. Runs the wave, lets uninformed
 // nodes object to their in-part neighbors (one round, their port count in
@@ -146,9 +212,14 @@ PaGivenResult pa_given(sim::Engine& eng, const graph::Partition& p,
 // rounds and messages shrink. An active part reads only the labels of its
 // own members, so its verdict is also the one it would reach if only active
 // parts' nodes had announced.
+//
+// `trees` holds the wave tree of every active part, so a caller that freezes
+// a good part keeps the tree its verification already built on the part's
+// shortcut (PaSolver::build_shortcut); keeping it sends nothing.
 struct VerifyResult {
   std::vector<char> part_good;
   std::vector<std::uint64_t> blocks_counted;
+  WaveTrees trees;
   sim::PhaseStats stats;
 };
 

@@ -75,6 +75,7 @@ void PaSolver::build_shortcut() {
   // global all-frozen test), so the start needs no agreement inside a part.
   const int first_guess = std::max(1, st_.final_guess / 2);
   st_.sc = shortcut::Shortcut::empty(g.n());
+  st_.trees = WaveTrees::none(g.n(), part_.num_parts);
   st_.frozen_at_guess.assign(part_.num_parts, 0);
   st_.final_guess = 0;
   if (cfg_.strategy == PaStrategy::NoShortcut) {
@@ -119,7 +120,8 @@ void PaSolver::build_shortcut() {
 
       // Verify the block parameter on the candidate (Algorithm 2) for the
       // participating parts only, and freeze the parts within 3·guess
-      // blocks: they keep their candidate edges. A part left out of the
+      // blocks: they keep their candidate edges, and the wave tree their
+      // verification built on those edges. A part left out of the
       // verification reports part_good = 0, so part_good is exactly the set
       // of newly frozen parts.
       PaGivenConfig vcfg;
@@ -128,7 +130,7 @@ void PaSolver::build_shortcut() {
         vcfg.delay_range = guess;
         vcfg.seed = rng.next_u64();
       }
-      const auto verdict =
+      auto verdict =
           verify_block_parameter(*eng_, part_, st_.div, st_.labels, candidate,
                                  st_.t, 3 * guess, vcfg, participating);
       for (int i = 0; i < part_.num_parts; ++i) {
@@ -138,6 +140,7 @@ void PaSolver::build_shortcut() {
         st_.final_guess = guess;
       }
       shortcut::adopt_parts(st_.sc, candidate, verdict.part_good);
+      st_.trees.adopt(std::move(verdict.trees), verdict.part_good);
     }
   }
   shortcut::annotate_block_roots(g, st_.t, st_.sc);
@@ -161,17 +164,24 @@ void PaSolver::set_partition(graph::Partition p) {
 PaRunResult PaSolver::aggregate(const Agg& agg,
                                 const std::vector<std::uint64_t>& values) {
   PW_CHECK_MSG(partition_ready_, "call set_partition first");
+  const int n = eng_->graph().n();
+  PW_CHECK_MSG(static_cast<int>(values.size()) == n,
+               "PaSolver::aggregate: %zu values for a graph of %d nodes",
+               values.size(), n);
   PaGivenConfig pc;
   pc.mode = cfg_.mode;
   pc.delay_range = std::max(1, shortcut::congestion(st_.sc));
+  // Drawn whether or not a part waves, so later draws do not depend on it.
   pc.seed = rng_.next_u64();
-  const auto res =
-      pa_given(*eng_, part_, st_.div, st_.labels, st_.sc, st_.t, agg, values,
-               pc);
-  PW_CHECK_MSG(res.all_covered(), "PA wave failed to cover a part");
+  auto res = pa_given(*eng_, part_, st_.div, st_.labels, st_.sc, st_.t, agg,
+                      values, pc, &st_.trees);
+  for (int i = 0; i < part_.num_parts; ++i)
+    PW_CHECK_MSG(res.part_covered[i],
+                 "PA wave failed to cover part %d of %d (leader %d)", i,
+                 part_.num_parts, part_.leader[i]);
   PaRunResult out;
-  out.part_value = res.part_value;
-  out.node_value = res.node_value;
+  out.part_value = std::move(res.part_value);
+  out.node_value = std::move(res.node_value);
   out.stats = res.total();
   return out;
 }

@@ -17,9 +17,11 @@
 // unfrozen parts claim a candidate (corefast_claim or det_claim, the only
 // mode-specific step), Algorithm 2 verifies it for the claiming parts, and
 // the parts within 3·κ blocks keep their candidate edges
-// (shortcut::adopt_parts). The loop's all-frozen test, per attempt and per
-// guess, runs centrally and is not charged to the engine; a network would
-// pay one aggregate on T for it (DESIGN.md §4).
+// (shortcut::adopt_parts) and the wave tree their verification built on
+// them (PaStructures::trees), on which every later aggregate gathers and
+// scatters without waving again. The loop's all-frozen test, per attempt
+// and per guess, runs centrally and is not charged to the engine; a network
+// would pay one aggregate on T for it (DESIGN.md §4).
 //
 // Strategies select between the paper's algorithm and the baselines the
 // paper argues against (Section 3.1):
@@ -61,6 +63,12 @@ struct PaStructures {
   // KT0 neighbour labels of the installed partition and division, announced
   // once per set_partition and read by every verification and aggregate.
   NeighborLabels labels;
+  // Every part's wave tree, recorded by the verification that froze the part
+  // (its Hi in sc is that verification's candidate Hi, so the tree stays
+  // valid); aggregate gathers and scatters on them. Under NoShortcut no
+  // verification runs: the first aggregate waves every part and records.
+  // set_partition drops them.
+  WaveTrees trees;
   // labels_stats is the announce alone (2m messages, two engine rounds);
   // tree_stats and division_stats never include it.
   sim::PhaseStats tree_stats, division_stats, labels_stats, shortcut_stats;
@@ -86,19 +94,28 @@ class PaSolver {
   // Installs the partition PA queries will run against and builds the
   // per-partition structures: the sub-part division, then the KT0 neighbour
   // labels (one announce, 2m messages, the only one this partition pays),
-  // then the shortcut, whose verifications read the labels. The shortcut's
-  // doubling resumes at half the final guess of the partition installed
-  // before (at 1 on the first call), so no part freezes below it. Leaders
-  // must be known (Section 4's assumption; see pa_noleader.hpp / Algorithm 9
-  // for dropping it). The partition is copied; repeated aggregate() calls
-  // reuse the structures and announce nothing. Every call rebuilds the
-  // division, the labels and the shortcut, even for a partition equal to the
-  // installed one, so a caller that already installed it skips the call
-  // (boruvka_mst reuses the merged partition as the next phase's, and reads
-  // its fragment boundaries from structures().labels).
+  // then the shortcut, whose verifications read the labels and record the
+  // wave tree of each part they freeze (recording sends nothing). The
+  // shortcut's doubling resumes at half the final guess of the partition
+  // installed before (at 1 on the first call), so no part freezes below it.
+  // Leaders must be known (Section 4's assumption; see pa_noleader.hpp /
+  // Algorithm 9 for dropping it). The partition is copied; repeated
+  // aggregate() calls reuse the structures and announce nothing. Every call
+  // drops the trees and rebuilds the division, the labels and the shortcut,
+  // even for a partition equal to the installed one, so a caller that
+  // already installed it skips the call (boruvka_mst reuses the merged
+  // partition as the next phase's, and reads its fragment boundaries from
+  // structures().labels).
   void set_partition(graph::Partition p);
 
-  // Solves one PA instance (Definition 1.1) on the installed partition.
+  // Solves one PA instance (Definition 1.1) on the installed partition:
+  // values holds one entry per node (checked before any traffic). A query is
+  // Algorithm 1's gather and scatter on the recorded wave trees
+  // (structures().trees), one message per tree edge each; only a part
+  // without a recorded tree is waved first, and its tree is recorded. Under
+  // Ours and NoSubparts every part has one after set_partition; under
+  // NoShortcut the first query waves every part. Aborts, naming the part,
+  // if a wave leaves a part uncovered.
   PaRunResult aggregate(const Agg& agg, const std::vector<std::uint64_t>& values);
 
   // The BFS tree T rooted at the elected leader (Section 2.2), built by the

@@ -366,5 +366,55 @@ TEST(PaGiven, StatsPhasesAllAccounted) {
   EXPECT_GT(res.scatter_stats.messages, 0u);
 }
 
+// With a WaveTrees, pa_given waves only the parts that have no recorded tree
+// and records theirs: a second call on the same structures sends no wave,
+// and its gather and scatter send what the first call's did, with the same
+// values. Trees recorded for another partition are rejected.
+TEST(PaGiven, RecordedTreesSkipTheWave) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Rng rng(25);
+  Graph g = graph::gen::random_connected(150, 400, rng);
+  Partition p = graph::random_bfs_partition(g, 9, rng);
+  p.elect_min_id_leaders();
+  Pipeline pipe(g, p, graph::diameter_estimate(g), rng, true);
+  std::vector<std::uint64_t> values(g.n());
+  for (auto& x : values) x = rng.next_below(1u << 20);
+  PaGivenConfig cfg;
+  cfg.mode = PaMode::Randomized;
+  cfg.delay_range = 4;
+  cfg.seed = 26;
+
+  WaveTrees trees;
+  const auto first = pa_given(pipe.eng, p, pipe.div, pipe.labels, pipe.sc,
+                              pipe.t, agg::max(), values, cfg, &trees);
+  ASSERT_TRUE(first.all_covered());
+  EXPECT_GT(first.wave_stats.messages, 0u);
+  EXPECT_EQ(first.gather_stats.messages, trees.edges());
+  EXPECT_EQ(first.scatter_stats.messages, trees.edges());
+  for (char r : trees.recorded) EXPECT_TRUE(r);
+
+  const auto second = pa_given(pipe.eng, p, pipe.div, pipe.labels, pipe.sc,
+                               pipe.t, agg::max(), values, cfg, &trees);
+  EXPECT_EQ(second.wave_stats.messages, 0u);
+  EXPECT_EQ(second.wave_stats.rounds, 0u);
+  EXPECT_EQ(second.gather_stats.messages, first.gather_stats.messages);
+  EXPECT_EQ(second.gather_stats.rounds, first.gather_stats.rounds);
+  EXPECT_EQ(second.scatter_stats.messages, first.scatter_stats.messages);
+  EXPECT_TRUE(second.all_covered());
+  EXPECT_EQ(second.part_value, reference_pa(p, agg::max(), values));
+  EXPECT_EQ(second.node_value, first.node_value);
+
+  Partition whole = graph::whole_partition(g);
+  whole.elect_min_id_leaders();
+  const auto whole_div =
+      shortcut::build_subpart_division_random(pipe.eng, whole, 8, rng);
+  const auto whole_labels = announce_labels(pipe.eng, whole, whole_div);
+  EXPECT_DEATH(pa_given(pipe.eng, whole, whole_div, whole_labels,
+                        shortcut::Shortcut::empty(g.n()), pipe.t, agg::max(),
+                        values, cfg, &trees),
+               "wave trees were recorded for n=150, 9 parts but are used on "
+               "n=150, 1 parts");
+}
+
 }  // namespace
 }  // namespace pw::core

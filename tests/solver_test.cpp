@@ -6,6 +6,8 @@
 #include "src/tree/bfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/properties.hpp"
+#include "tests/policy_matrix.hpp"
+#include "tests/trace_recorder.hpp"
 
 namespace pw::core {
 namespace {
@@ -390,6 +392,298 @@ TEST(PaSolverResume, SmallFinalGuessResumesAtOne) {
       EXPECT_EQ(st.frozen_at_guess[i], want) << "part " << i;
     expect_aggregate_matches_fold(solver, p);
   }
+}
+
+// --- Recorded wave trees -----------------------------------------------------
+//
+// set_partition keeps the wave tree each part's freezing verification built,
+// and aggregate gathers and scatters on it without waving again. Each case
+// runs at every thread count of the policy matrix; the library's rounds run
+// inside its own callbacks, so the recorder pins per-query counts, values
+// and the recorded trees as notes and compares them with the sequential run.
+
+template <class T>
+void fnv_mix(std::uint64_t& h, const std::vector<T>& xs) {
+  h = (h ^ xs.size()) * 1099511628211ULL;
+  for (const T& x : xs)
+    h = (h ^ static_cast<std::uint64_t>(x)) * 1099511628211ULL;
+}
+
+std::uint64_t trees_hash(const WaveTrees& tr) {
+  std::uint64_t h = 1469598103934665603ULL;
+  fnv_mix(h, tr.recorded);
+  fnv_mix(h, tr.offset);
+  fnv_mix(h, tr.part);
+  fnv_mix(h, tr.parent_port);
+  fnv_mix(h, tr.child_end);
+  fnv_mix(h, tr.child_port);
+  return h;
+}
+
+std::uint64_t values_hash(const std::vector<std::uint64_t>& xs) {
+  std::uint64_t h = 1469598103934665603ULL;
+  fnv_mix(h, xs);
+  return h;
+}
+
+bool all_recorded(const WaveTrees& tr) {
+  return std::all_of(tr.recorded.begin(), tr.recorded.end(),
+                     [](char r) { return r != 0; });
+}
+
+// Every recorded tree spans its part and is a tree over real channels: each
+// member holds an entry; each entry but the leader's names a parent port
+// whose far end holds an entry of the same part listing the mirror port as
+// a child; the child lists hold exactly the tree edges. A node's entries
+// are its own part's plus parts whose Hi contains a T edge at the node.
+void expect_trees_span(const Graph& g, const Partition& p,
+                       const PaStructures& st) {
+  const WaveTrees& tr = st.trees;
+  ASSERT_EQ(tr.num_nodes(), g.n());
+  ASSERT_EQ(tr.num_parts(), p.num_parts);
+  std::size_t non_root = 0;
+  for (int v = 0; v < g.n(); ++v) {
+    if (tr.recorded[p.part_of[v]]) {
+      EXPECT_GE(tr.find(v, p.part_of[v]), 0) << "member " << v;
+    }
+    std::vector<int> touching = st.sc.parts_on[v];
+    for (int cp : st.t.children_ports[v]) {
+      const auto& on = st.sc.parts_on[g.arcs(v)[cp].to];
+      touching.insert(touching.end(), on.begin(), on.end());
+    }
+    for (int k = tr.offset[v]; k < tr.offset[v + 1]; ++k) {
+      const int part = tr.part[k];
+      EXPECT_TRUE(tr.recorded[part]) << "node " << v << " part " << part;
+      if (part != p.part_of[v]) {
+        EXPECT_NE(std::find(touching.begin(), touching.end(), part),
+                  touching.end())
+            << "Steiner node " << v << " of part " << part;
+      }
+      if (tr.parent_port[k] < 0) {
+        EXPECT_EQ(v, p.leader[part]) << "root of part " << part;
+        continue;
+      }
+      ++non_root;
+      const int u = g.arcs(v)[tr.parent_port[k]].to;
+      const int port_at_u =
+          g.mirror(g.arc_id(v, tr.parent_port[k])) - g.arc_id(u, 0);
+      const int ku = tr.find(u, part);
+      ASSERT_GE(ku, 0) << "parent " << u << " of " << v;
+      const auto kids = tr.children(ku);
+      EXPECT_NE(std::find(kids.begin(), kids.end(), port_at_u), kids.end())
+          << "edge " << u << " -> " << v << " of part " << part;
+    }
+  }
+  EXPECT_EQ(non_root, tr.edges());
+}
+
+struct TreeCase {
+  const char* name;
+  Graph g;
+  Partition p;
+};
+
+std::vector<TreeCase> tree_cases() {
+  std::vector<TreeCase> out;
+  out.push_back(
+      {"grid", graph::gen::grid(8, 20), graph::grid_row_partition(8, 20)});
+  Rng rng(58);
+  Graph gnm = graph::gen::random_connected(240, 720, rng);
+  Partition p = graph::random_bfs_partition(gnm, 14, rng);
+  out.push_back({"gnm", std::move(gnm), std::move(p)});
+  for (auto& c : out) c.p.elect_min_id_leaders();
+  return out;
+}
+
+std::vector<std::uint64_t> test_values(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> values(n);
+  for (auto& x : values) x = rng.next_below(1u << 20);
+  return values;
+}
+
+// Runs `body` at every policy of the matrix and expects each run's notes to
+// equal the sequential run's.
+template <class Body>
+void expect_same_notes_at_every_policy(const std::string& what, int n,
+                                       Body&& body) {
+  std::vector<sim::TraceRecorder> runs;
+  for (const auto policy : sim::kPolicies) {
+    sim::TraceRecorder trace(n);
+    body(policy, trace);
+    runs.push_back(std::move(trace));
+  }
+  ASSERT_FALSE(runs[0].notes().empty()) << what;
+  for (std::size_t i = 1; i < runs.size(); ++i)
+    EXPECT_TRUE(sim::SameTrace(
+        runs[0], runs[i], what + " " + sim::policy_name(sim::kPolicies[i])));
+}
+
+// After set_partition every part has a tree, and a query sends exactly one
+// gather and one scatter message per tree edge. Its values equal those of a
+// fresh pa_given wave on the same structures (which sends more: its wave).
+TEST(PaSolverTrees, QueryIsGatherPlusScatterOnRecordedTrees) {
+  for (const auto& c : tree_cases()) {
+    for (const PaMode mode : {PaMode::Randomized, PaMode::Deterministic}) {
+      const std::string what = std::string(c.name) +
+                               (mode == PaMode::Randomized ? " rand" : " det");
+      expect_same_notes_at_every_policy(
+          what, c.g.n(),
+          [&](sim::ExecutionPolicy policy, sim::TraceRecorder& trace) {
+            sim::Engine eng(c.g, policy);
+            PaSolverConfig cfg;
+            cfg.mode = mode;
+            cfg.seed = 61;
+            PaSolver solver(eng, cfg);
+            solver.set_partition(c.p);
+            const auto& st = solver.structures();
+            ASSERT_TRUE(all_recorded(st.trees)) << what;
+            expect_trees_span(c.g, c.p, st);
+            trace.note("tree_edges", st.trees.edges());
+            trace.note("trees", trees_hash(st.trees));
+
+            const auto values = test_values(c.g.n(), 62);
+            for (const Agg& agg : {agg::min(), agg::sum()}) {
+              const auto before = trees_hash(st.trees);
+              const auto snap = eng.snap();
+              const auto res = solver.aggregate(agg, values);
+              const auto stats = eng.since(snap);
+              EXPECT_EQ(stats.messages, 2 * st.trees.edges()) << what;
+              EXPECT_EQ(res.stats.messages, stats.messages) << what;
+              EXPECT_EQ(res.stats.rounds, stats.rounds) << what;
+              EXPECT_EQ(trees_hash(st.trees), before) << what;
+              EXPECT_EQ(res.part_value, reference_pa(c.p, agg, values)) << what;
+
+              PaGivenConfig pc;
+              pc.mode = mode;
+              pc.delay_range = std::max(1, shortcut::congestion(st.sc));
+              pc.seed = 63;
+              const auto fresh = pa_given(eng, solver.partition(), st.div,
+                                          st.labels, st.sc, st.t, agg, values,
+                                          pc);
+              EXPECT_TRUE(fresh.all_covered()) << what;
+              EXPECT_GT(fresh.wave_stats.messages, 0u) << what;
+              EXPECT_EQ(res.part_value, fresh.part_value) << what;
+              EXPECT_EQ(res.node_value, fresh.node_value) << what;
+              trace.note("query_rounds", stats.rounds);
+              trace.note("query_messages", stats.messages);
+              trace.note("node_values", values_hash(res.node_value));
+            }
+            trace.note_totals(eng);
+          });
+    }
+  }
+}
+
+// Under NoShortcut no verification runs, so set_partition records nothing.
+// The first query waves every part and records; the second sends only
+// gather plus scatter on those trees, with the same values.
+TEST(PaSolverTrees, NoShortcutRecordsOnTheFirstQuery) {
+  for (const auto& c : tree_cases()) {
+    expect_same_notes_at_every_policy(
+        c.name, c.g.n(),
+        [&](sim::ExecutionPolicy policy, sim::TraceRecorder& trace) {
+          sim::Engine eng(c.g, policy);
+          PaSolverConfig cfg;
+          cfg.strategy = PaStrategy::NoShortcut;
+          cfg.seed = 64;
+          PaSolver solver(eng, cfg);
+          solver.set_partition(c.p);
+          const auto& st = solver.structures();
+          EXPECT_EQ(st.trees.num_parts(), c.p.num_parts);
+          EXPECT_TRUE(std::none_of(st.trees.recorded.begin(),
+                                   st.trees.recorded.end(),
+                                   [](char r) { return r != 0; }));
+          EXPECT_EQ(st.trees.edges(), 0u);
+
+          const auto values = test_values(c.g.n(), 65);
+          auto snap = eng.snap();
+          const auto first = solver.aggregate(agg::sum(), values);
+          const auto first_stats = eng.since(snap);
+          ASSERT_TRUE(all_recorded(st.trees)) << c.name;
+          expect_trees_span(c.g, c.p, st);
+          EXPECT_GT(first_stats.messages, 2 * st.trees.edges()) << c.name;
+
+          snap = eng.snap();
+          const auto second = solver.aggregate(agg::sum(), values);
+          const auto second_stats = eng.since(snap);
+          EXPECT_EQ(second_stats.messages, 2 * st.trees.edges()) << c.name;
+          EXPECT_LT(second_stats.rounds, first_stats.rounds) << c.name;
+          EXPECT_EQ(second.part_value, first.part_value) << c.name;
+          EXPECT_EQ(second.node_value, first.node_value) << c.name;
+          EXPECT_EQ(first.part_value, reference_pa(c.p, agg::sum(), values));
+          trace.note("first_rounds", first_stats.rounds);
+          trace.note("first_messages", first_stats.messages);
+          trace.note("second_rounds", second_stats.rounds);
+          trace.note("second_messages", second_stats.messages);
+          trace.note("trees", trees_hash(st.trees));
+          trace.note("node_values", values_hash(second.node_value));
+          trace.note_totals(eng);
+        });
+  }
+}
+
+// A second set_partition drops the trees of the first: under Ours the new
+// partition's verifications record fresh trees for the new parts; under
+// NoShortcut nothing is recorded until the next query.
+TEST(PaSolverTrees, SetPartitionDropsTheOldTrees) {
+  const Graph g = resume_gnm();
+  const Partition p = resume_gnm_partition(g);
+  const Partition coarse = coarsen_pairs(g, p);
+  ASSERT_LT(coarse.num_parts, p.num_parts);
+  for (const PaStrategy strategy : {PaStrategy::Ours, PaStrategy::NoShortcut}) {
+    const std::string what =
+        strategy == PaStrategy::Ours ? "ours" : "no-shortcut";
+    expect_same_notes_at_every_policy(
+        what, g.n(),
+        [&](sim::ExecutionPolicy policy, sim::TraceRecorder& trace) {
+          sim::Engine eng(g, policy);
+          PaSolverConfig cfg;
+          cfg.strategy = strategy;
+          cfg.seed = 66;
+          PaSolver solver(eng, cfg);
+          const auto values = test_values(g.n(), 67);
+          solver.set_partition(p);
+          solver.aggregate(agg::min(), values);
+          ASSERT_TRUE(all_recorded(solver.structures().trees)) << what;
+          trace.note("first_trees", trees_hash(solver.structures().trees));
+
+          solver.set_partition(coarse);
+          const auto& st = solver.structures();
+          EXPECT_EQ(st.trees.num_parts(), coarse.num_parts) << what;
+          if (strategy == PaStrategy::NoShortcut) {
+            EXPECT_EQ(st.trees.edges(), 0u) << what;
+            EXPECT_TRUE(std::none_of(st.trees.recorded.begin(),
+                                     st.trees.recorded.end(),
+                                     [](char r) { return r != 0; }));
+          } else {
+            EXPECT_TRUE(all_recorded(st.trees)) << what;
+            expect_trees_span(g, coarse, st);
+          }
+          const auto res = solver.aggregate(agg::min(), values);
+          EXPECT_EQ(res.part_value, reference_pa(coarse, agg::min(), values));
+          expect_trees_span(g, coarse, st);
+          trace.note("second_trees", trees_hash(st.trees));
+          trace.note("node_values", values_hash(res.node_value));
+          trace.note_totals(eng);
+        });
+  }
+}
+
+// A wrong-size values vector is rejected before any traffic, naming both
+// sizes.
+TEST(PaSolverTrees, AggregateRejectsValuesOfWrongSize) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const Graph g = graph::gen::grid(4, 6);
+  Partition p = graph::grid_row_partition(4, 6);
+  p.elect_min_id_leaders();
+  sim::Engine eng(g);
+  PaSolver solver(eng, {});
+  solver.set_partition(p);
+  EXPECT_DEATH(solver.aggregate(agg::sum(), std::vector<std::uint64_t>(23, 1)),
+               "PaSolver::aggregate: 23 values for a graph of 24 nodes");
+  EXPECT_DEATH(solver.aggregate(agg::sum(), {}),
+               "PaSolver::aggregate: 0 values for a graph of 24 nodes");
 }
 
 }  // namespace
