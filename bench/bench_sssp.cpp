@@ -4,7 +4,9 @@
 // The beta knob trades cost for stretch: the harness sweeps beta and
 // reports measured stretch against Dijkstra together with rounds/messages.
 // The corollary's shape: smaller beta => more rounds and messages (the
-// 1/beta factor) and tighter stretch.
+// 1/beta factor) and tighter stretch. BENCH_sssp.json carries one row per
+// (graph, beta); its counts and stretches are compared exactly against the
+// committed baseline, its times are report-only.
 #include "bench/common.hpp"
 
 #include "src/apps/sssp.hpp"
@@ -16,6 +18,7 @@ void run() {
   Rng rng(47);
   Table table({"graph", "beta", "scales", "max stretch", "mean stretch",
                "relax rnds", "relax msgs", "total rnds", "total msgs"});
+  JsonEmitter json("sssp_corollary_1_5");
 
   auto bench_graph = [&](const std::string& name, const graph::Graph& g,
                          int source) {
@@ -24,12 +27,28 @@ void run() {
       sim::Engine eng(g);
       core::PaSolverConfig cfg;
       cfg.seed = 41;
+      const auto t0 = now_ns();
       const auto res = apps::approx_sssp(eng, source, beta, cfg);
+      const auto wall_ns = now_ns() - t0;
       const auto s = apps::measure_stretch(exact, res.dist);
       table.add_row({name, fd(beta), fm(static_cast<std::uint64_t>(res.scales)),
                      fd(s.max_stretch), fd(s.mean_stretch),
                      fm(res.relax_stats.rounds), fm(res.relax_stats.messages),
                      fm(res.stats.rounds), fm(res.stats.messages)});
+      json.add_row({{"graph", name},
+                    {"beta", beta},
+                    {"scales", res.scales},
+                    {"max_stretch", s.max_stretch},
+                    {"mean_stretch", s.mean_stretch},
+                    {"relax_rounds", res.relax_stats.rounds},
+                    {"relax_messages", res.relax_stats.messages},
+                    {"rounds", res.stats.rounds},
+                    {"messages", res.stats.messages},
+                    {"wall_ns", wall_ns},
+                    {"ns_per_message",
+                     static_cast<double>(wall_ns) /
+                         static_cast<double>(std::max<std::uint64_t>(
+                             1, res.stats.messages))}});
     }
   };
 
@@ -51,6 +70,7 @@ void run() {
       "approximation column) at the 1/beta relaxation cost (relax columns); "
       "totals include the per-scale PA component machinery, which dominates "
       "at laptop scale (see EXPERIMENTS.md)");
+  json.write("BENCH_sssp.json");
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // (D + sqrt(n)) and m; the claim is that both ratios stay polylog-bounded.
 // Every row's verdict is checked against the answer its input is built to
 // have (a centralized union-find for the random subgraphs), so a run of this
-// bench is also an end-to-end check of the verifiers.
+// bench is also an end-to-end check of the verifiers. BENCH_verification.json
+// carries one row per verifier; its verdicts and counts are compared exactly
+// against the committed baseline, its times are report-only.
 #include "bench/common.hpp"
 
 #include "src/apps/verification.hpp"
@@ -19,9 +21,18 @@ void run() {
   Rng rng(48);
   Table table({"verifier", "n", "m", "verdict", "rounds", "messages",
                "rnds/(D+sqrt n)", "msgs/m"});
+  JsonEmitter json("verification_corollary_a1");
 
-  auto add = [&](const std::string& name, const graph::Graph& g, bool verdict,
-                 bool expected, const sim::PhaseStats& st) {
+  // Runs one verifier on a fresh engine over g, times it, checks its verdict
+  // and reports it.
+  auto check = [&](const std::string& name, const graph::Graph& g,
+                   bool expected, const auto& verify) {
+    sim::Engine eng(g);
+    const auto t0 = now_ns();
+    const auto res = verify(eng);
+    const auto wall_ns = now_ns() - t0;
+    const bool verdict = res.ok;
+    const sim::PhaseStats& st = res.stats;
     PW_CHECK_MSG(verdict == expected, "%s: verdict %s, expected %s",
                  name.c_str(), verdict ? "accept" : "reject",
                  expected ? "accept" : "reject");
@@ -31,6 +42,17 @@ void run() {
                    verdict ? "accept" : "reject", fm(st.rounds),
                    fm(st.messages), fd(st.rounds / pred),
                    fd(static_cast<double>(st.messages) / g.num_arcs())});
+    json.add_row(
+        {{"verifier", name},
+         {"n", g.n()},
+         {"m", g.m()},
+         {"verdict", verdict ? "accept" : "reject"},
+         {"rounds", st.rounds},
+         {"messages", st.messages},
+         {"wall_ns", wall_ns},
+         {"ns_per_message",
+          static_cast<double>(wall_ns) /
+              static_cast<double>(std::max<std::uint64_t>(1, st.messages))}});
   };
 
   auto g = graph::gen::random_connected(512, 1400, rng);
@@ -57,27 +79,26 @@ void run() {
         h[e] = 1;
       }
     }
-    sim::Engine eng(g);
-    const auto good = apps::verify_spanning_tree(eng, h, {});
-    add("spanning-tree(true)", g, good.ok, true, good.stats);
+    auto spanning_tree = [&](sim::Engine& eng) {
+      return apps::verify_spanning_tree(eng, h, {});
+    };
+    check("spanning-tree(true)", g, true, spanning_tree);
     for (int e = 0; e < g.m(); ++e)
       if (h[e]) {
         h[e] = 0;
         break;
       }
-    sim::Engine eng2(g);
-    const auto bad = apps::verify_spanning_tree(eng2, h, {});
-    add("spanning-tree(broken)", g, bad.ok, false, bad.stats);
+    check("spanning-tree(broken)", g, false, spanning_tree);
   }
 
   // Connectivity of a random subgraph.
   {
     std::vector<char> h(g.m(), 0);
     for (int e = 0; e < g.m(); ++e) h[e] = rng.next_bool(0.7);
-    sim::Engine eng(g);
-    const auto v = apps::verify_connectivity(eng, h, {});
-    add("connectivity(random H)", g, v.ok, h_components(h).components() == 1,
-        v.stats);
+    check("connectivity(random H)", g, h_components(h).components() == 1,
+          [&](sim::Engine& eng) {
+            return apps::verify_connectivity(eng, h, {});
+          });
   }
 
   // Cut verification on a planted bridge.
@@ -92,19 +113,18 @@ void run() {
     }();
     std::vector<char> h(bridged.m(), 0);
     h[bridged.m() - 1] = 1;
-    sim::Engine eng(bridged);
-    const auto v = apps::verify_cut(eng, h, {});
-    add("cut(bridge)", bridged, v.ok, true, v.stats);
+    check("cut(bridge)", bridged, true,
+          [&](sim::Engine& eng) { return apps::verify_cut(eng, h, {}); });
   }
 
   // s-t connectivity.
   {
     std::vector<char> h(g.m(), 0);
     for (int e = 0; e < g.m(); ++e) h[e] = rng.next_bool(0.5);
-    sim::Engine eng(g);
-    const auto v = apps::verify_s_t_connectivity(eng, h, 0, g.n() - 1, {});
-    add("s-t connectivity", g, v.ok, h_components(h).same(0, g.n() - 1),
-        v.stats);
+    check("s-t connectivity", g, h_components(h).same(0, g.n() - 1),
+          [&](sim::Engine& eng) {
+            return apps::verify_s_t_connectivity(eng, h, 0, g.n() - 1, {});
+          });
   }
 
 
@@ -112,23 +132,24 @@ void run() {
   {
     graph::Graph grid = graph::gen::grid(16, 16);
     std::vector<char> h(grid.m(), 1);
-    sim::Engine eng(grid);
-    const auto v = apps::verify_bipartiteness(eng, h, {});
-    add("bipartiteness(grid)", grid, v.ok, true, v.stats);
+    check("bipartiteness(grid)", grid, true, [&](sim::Engine& eng) {
+      return apps::verify_bipartiteness(eng, h, {});
+    });
 
     std::vector<graph::Edge> edges = grid.edges();
     edges.push_back({0, 17, 1});  // a diagonal: odd cycle
     graph::Graph spoiled = graph::Graph::from_edges(grid.n(), std::move(edges));
     std::vector<char> h2(spoiled.m(), 1);
-    sim::Engine eng2(spoiled);
-    const auto v2 = apps::verify_bipartiteness(eng2, h2, {});
-    add("bipartiteness(odd cycle)", spoiled, v2.ok, false, v2.stats);
+    check("bipartiteness(odd cycle)", spoiled, false, [&](sim::Engine& eng) {
+      return apps::verify_bipartiteness(eng, h2, {});
+    });
   }
 
 
   table.print(
       "Corollary A.1 — verification problems via Thurimella labelling "
       "(PA without leaders / Algorithm 9)");
+  json.write("BENCH_verification.json");
 }
 
 }  // namespace

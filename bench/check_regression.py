@@ -12,11 +12,12 @@ under load desensitizes the gate, a lucky-fast one cries wolf).
 
 Only the engine microbench gates on time: a matched row whose median
 ns_per_message regressed by more than the threshold (default 20%) fails with
-exit 1. The app benches (mst / mincut / noleader / cds_kdom) and Table 2's
-PA set-up/query split are ingested REPORT-ONLY for time — their per-row
-medians and ratios are printed for drift tracking, but a slower row never
-fails CI: their wall clocks sit on top of whole algorithm stacks whose
-variance hasn't been characterized (ROADMAP), so a hard gate would cry wolf.
+exit 1. The app benches (mst / mincut / noleader / cds_kdom / verification /
+sssp) and Table 2's PA set-up/query split are ingested REPORT-ONLY for time —
+their per-row medians and ratios are printed for drift tracking, but a slower
+row never fails CI: their wall clocks sit on top of whole algorithm stacks
+whose variance hasn't been characterized (ROADMAP), so a hard gate would cry
+wolf.
 
 Every benchmark, gated or not, is compared EXACTLY on its deterministic
 columns (each schema's `exact`: round and message counts plus the oracle
@@ -99,6 +100,22 @@ SCHEMAS = {
         "keys": ("family", "n", "mode"),
         "gated": False,
         "exact": ("rounds", "messages", "setup_rounds", "setup_messages"),
+    },
+    # Corollary A.1's verifiers: the verdict is the oracle column (the bench
+    # itself aborts if it differs from the answer its input is built to have).
+    "verification_corollary_a1": {
+        "file": "BENCH_verification.json",
+        "keys": ("verifier", "n"),
+        "gated": False,
+        "exact": ("rounds", "messages", "verdict"),
+    },
+    # Corollary 1.5: stretch against Dijkstra is the oracle column.
+    "sssp_corollary_1_5": {
+        "file": "BENCH_sssp.json",
+        "keys": ("graph", "beta"),
+        "gated": False,
+        "exact": ("rounds", "messages", "relax_rounds", "relax_messages",
+                  "scales", "max_stretch", "mean_stretch"),
     },
     "fault_degradation": {
         "file": "BENCH_fault.json",

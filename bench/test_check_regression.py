@@ -235,6 +235,43 @@ class ExactColumnsTest(unittest.TestCase):
             [dict(pa, setup_messages=20606, ns_per_message=100.0)])
         self.assertEqual(failures, [])
 
+    def test_verification_verdict_and_count_changes_fail(self):
+        v = {"verifier": "spanning-tree(true)", "n": 512, "m": 1400,
+             "rounds": 831, "ns_per_message": 40.0}
+        failures, compared, _ = compare_against(
+            "verification_corollary_a1",
+            [dict(v, verdict="accept", messages=62899)],
+            [dict(v, verdict="accept", messages=62899)])
+        self.assertEqual(failures, [])
+        self.assertEqual(compared, 1)
+        failures, _, _ = compare_against(
+            "verification_corollary_a1",
+            [dict(v, verdict="reject", messages=62900)],
+            [dict(v, verdict="accept", messages=62899)])
+        self.assertEqual(len(failures), 2)
+        self.assertIn("messages 62899 -> 62900", failures[0])
+        self.assertIn("verdict 'accept' -> 'reject'", failures[1])
+
+    def test_sssp_counts_and_stretch_are_exact_per_beta(self):
+        s = {"graph": "GNM(n=256,w<=50)", "scales": 4, "rounds": 900,
+             "messages": 70000, "relax_rounds": 40, "relax_messages": 3000,
+             "mean_stretch": 1.0, "ns_per_message": 40.0}
+        failures, compared, _ = compare_against(
+            "sssp_corollary_1_5",
+            [dict(s, beta=0.5, max_stretch=1.25),
+             dict(s, beta=0.1, max_stretch=1.0)],
+            [dict(s, beta=0.5, max_stretch=1.25),
+             dict(s, beta=0.1, max_stretch=1.0)])
+        self.assertEqual(failures, [])
+        self.assertEqual(compared, 2)
+        failures, _, _ = compare_against(
+            "sssp_corollary_1_5",
+            [dict(s, beta=0.5, max_stretch=1.5)],
+            [dict(s, beta=0.5, max_stretch=1.25),
+             dict(s, beta=0.1, max_stretch=1.0)])
+        self.assertEqual(len(failures), 1)
+        self.assertIn("0.5: max_stretch 1.25 -> 1.5", failures[0])
+
     def test_column_missing_on_one_side_is_a_change(self):
         arq = {"workload": "arq_flood", "graph": "general(GNM)",
                "drop_prob": 0, "threads": 1, "rounds": 9, "messages": 6280,

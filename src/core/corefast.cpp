@@ -18,9 +18,10 @@ shortcut::Shortcut corefast_claim(sim::Engine& eng, const graph::Partition& p,
   const auto& g = eng.graph();
   PW_CHECK(congestion_cap >= 1);
 
-  // Per node: distinct parts forwarded up the parent edge (<= cap), whether
-  // the parent edge broke, pending claims not yet forwarded, and — for the
-  // backflow — which child ports carried each part's claim.
+  // Per node: distinct parts forwarded up the parent edge, whether the
+  // parent edge broke, pending claims not yet forwarded (forwarded plus
+  // queued stays <= cap), and — for the backflow — which child ports carried
+  // each part's claim.
   std::vector<std::vector<int>> forwarded(g.n());
   std::vector<char> broken(g.n(), 0);
   std::vector<std::vector<int>> queue(g.n());  // parts awaiting the parent edge
@@ -36,10 +37,12 @@ shortcut::Shortcut corefast_claim(sim::Engine& eng, const graph::Partition& p,
     if (std::find(q.begin(), q.end(), part) != q.end()) return;
     auto& r = rooted[v];
     if (std::find(r.begin(), r.end(), part) != r.end()) return;
-    if (t.parent_port[v] < 0 || broken[v] ||
-        static_cast<int>(fwd.size()) >= congestion_cap) {
-      if (t.parent_port[v] >= 0 &&
-          static_cast<int>(fwd.size()) >= congestion_cap)
+    // A queued part is already committed to the parent edge, so it counts
+    // against the cap as much as a forwarded one.
+    const bool saturated =
+        static_cast<int>(fwd.size() + q.size()) >= congestion_cap;
+    if (t.parent_port[v] < 0 || broken[v] || saturated) {
+      if (t.parent_port[v] >= 0 && saturated)
         broken[v] = 1;  // the edge is saturated; nobody else may use it
       r.push_back(part);
       return;

@@ -3,7 +3,10 @@
 // and Zuzic [19] as the paper describes it: sub-part representatives send
 // claims up the BFS tree T; a tree edge accepts at most `congestion_cap`
 // distinct parts and breaks for everyone else, fragmenting each part's
-// claimed edge set into blocks.
+// claimed edge set into blocks. A part counts against the cap from the round
+// it is queued for the edge, not from the round it is sent, so the many
+// claims that reach a node before its first forward cannot overfill the
+// edge.
 //
 // Message efficiency comes precisely from the sub-part division: only the
 // Õ(n/D) representatives inject claims (each travelling <= depth(T) hops),
@@ -17,7 +20,8 @@
 // only, and freezing the parts whose block count lands within 3·b_target
 // (lines 4-6) — is the one freeze loop PaSolver::build_shortcut runs for
 // Algorithm 8's candidates too. Per-edge congestion grows by at most
-// `congestion_cap` per attempt, i.e. Õ(c) overall.
+// `congestion_cap` per attempt, i.e. Õ(c) overall
+// (CoreFast.ClaimRespectsCongestionCap).
 #pragma once
 
 #include "src/core/pa_given.hpp"

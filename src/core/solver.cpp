@@ -70,10 +70,13 @@ void PaSolver::build_division() {
 void PaSolver::build_shortcut() {
   const auto snap = eng_->snap();
   const auto& g = eng_->graph();
-  // Resume one guess below where the previous partition stopped. Every node
+  // Resume at the guess where the previous partition stopped. Every node
   // knows that guess (the loop moves all parts in lockstep and ends on one
   // global all-frozen test), so the start needs no agreement inside a part.
-  const int first_guess = std::max(1, st_.final_guess / 2);
+  // A singleton partition, where every node knows its part is itself,
+  // restarts at 1: each part is one node, so it freezes there.
+  const bool singletons = part_.num_parts == g.n();
+  const int first_guess = singletons ? 1 : std::max(1, st_.final_guess);
   st_.sc = shortcut::Shortcut::empty(g.n());
   st_.trees = WaveTrees::none(g.n(), part_.num_parts);
   st_.frozen_at_guess.assign(part_.num_parts, 0);
@@ -99,8 +102,10 @@ void PaSolver::build_shortcut() {
     // Algorithm 4 draws its coins and verification seeds from a stream of
     // its own per guess; Algorithm 8 draws nothing.
     Rng rng(randomized ? rng_.next_u64() ^ 0xC0FEFA57ULL : 0);
-    for (int attempt = 0; attempt < kCoreFastItersPerGuess && !all_frozen();
-         ++attempt) {
+    // The start guess gets one attempt; a part it does not freeze gets every
+    // attempt at twice the guess.
+    const int attempts = guess == first_guess ? 1 : kCoreFastItersPerGuess;
+    for (int attempt = 0; attempt < attempts && !all_frozen(); ++attempt) {
       // Unfrozen parts claim. After the first attempt a randomized part
       // joins with probability 1/2, the contention halving behind
       // [19, Lemma 4]'s progress guarantee.

@@ -7,10 +7,15 @@
 // describes in Section 1.3: guesses κ, 2κ, 4κ, ... are tried, parts whose
 // shortcut verifies (Algorithm 2) freeze at their guess, and the rest
 // continue. A solver's first partition starts at κ = 1; every later one
-// resumes at κ = max(1, final_guess / 2) of the partition before it. The
-// final guess is ≤ 2·max(b, c) w.h.p. for the (b, c) the graph admits, so
-// half of it keeps Theorem 1.2's Õ(bD + c) rounds, while the guesses below
-// it, which on a coarsened partition mostly freeze nothing, are skipped.
+// resumes at κ = max(1, final_guess) of the partition before it, except a
+// singleton partition (pa_noleader's first pseudo-partition), which
+// restarts at 1 because each of its parts is one node and freezes there.
+// The start guess gets one claim → verify → freeze attempt and every later
+// guess kCoreFastItersPerGuess: a part the start does not freeze moves on to
+// twice the start with all attempts, so a partition stops within one
+// doubling of the larger of its start and its own need. The guesses below
+// the start, which on a coarsened partition mostly freeze nothing, are
+// skipped (DESIGN.md §4, §6).
 //
 // Inside each guess build_shortcut runs the one claim → verify → freeze
 // loop of Algorithm 4 (randomized) and Algorithm 8 (deterministic): the
@@ -49,7 +54,8 @@ struct PaSolverConfig {
 };
 
 // Claim → verify → freeze attempts per guess of the doubling (Algorithm 4's
-// iterations, or Algorithm 8's repetitions).
+// iterations, or Algorithm 8's repetitions), at every guess but the start
+// guess, which gets one.
 inline constexpr int kCoreFastItersPerGuess = 4;
 
 struct PaStructures {
@@ -96,8 +102,10 @@ class PaSolver {
   // labels (one announce, 2m messages, the only one this partition pays),
   // then the shortcut, whose verifications read the labels and record the
   // wave tree of each part they freeze (recording sends nothing). The
-  // shortcut's doubling resumes at half the final guess of the partition
-  // installed before (at 1 on the first call), so no part freezes below it.
+  // shortcut's doubling resumes at the final guess of the partition
+  // installed before (at 1 on the first call and for a singleton
+  // partition), so no part freezes below it; the start guess gets one
+  // attempt.
   // Leaders must be known (Section 4's assumption; see pa_noleader.hpp /
   // Algorithm 9 for dropping it). The partition is copied; repeated
   // aggregate() calls reuse the structures and announce nothing. Every call

@@ -46,20 +46,33 @@ void expect_solver_correct(const Graph& g, Partition p, PaStrategy strategy,
   }
 }
 
-TEST(CoreFast, ClaimRespectsCongestionCap) {
-  Graph g = graph::gen::grid(8, 25);
-  Partition p = graph::grid_row_partition(8, 25);
+// Every part queued at a node counts against the cap as soon as it is
+// queued, not only once it is forwarded: on G(n, m) many parts reach a node
+// in the same round, before its first forward.
+void expect_claims_within_cap(const Graph& g, Partition p,
+                              std::uint64_t seed) {
   p.elect_min_id_leaders();
   sim::Engine eng(g);
-  Rng rng(51);
+  Rng rng(seed);
   const auto t = tree::build_bfs_tree(eng, 0);
-  const auto div = shortcut::build_subpart_division_random(eng, p, 31, rng);
+  const auto div = shortcut::build_subpart_division_random(
+      eng, p, std::max(1, t.height()), rng);
   std::vector<char> all(p.num_parts, 1);
   for (int cap : {1, 2, 4}) {
     const auto sc = corefast_claim(eng, p, div, t, all, cap);
-    EXPECT_LE(shortcut::congestion(sc), cap);
+    EXPECT_LE(shortcut::congestion(sc), cap)
+        << p.num_parts << " parts, cap " << cap;
     shortcut::validate_shortcut(g, t, p, sc);
   }
+}
+
+TEST(CoreFast, ClaimRespectsCongestionCap) {
+  expect_claims_within_cap(graph::gen::grid(8, 25),
+                           graph::grid_row_partition(8, 25), 51);
+  Rng rng(53);
+  const Graph g = graph::gen::random_connected(1024, 3072, rng);
+  for (int k : {256, 64})
+    expect_claims_within_cap(g, graph::random_bfs_partition(g, k, rng), 51);
 }
 
 TEST(CoreFast, HighCapMergesEachPartIntoOneBlock) {
@@ -343,9 +356,9 @@ TEST(PaSolverResume, FirstPartitionStartsAtGuessOne) {
   EXPECT_GE(solver.structures().final_guess, 4);
 }
 
-// A later partition resumes the doubling at half the previous final guess:
-// no part freezes below it, and the shortcut and aggregates stay correct.
-TEST(PaSolverResume, LaterPartitionResumesAtHalfTheFinalGuess) {
+// A later partition resumes the doubling at the previous final guess: no
+// part freezes below it, and the shortcut and aggregates stay correct.
+TEST(PaSolverResume, LaterPartitionResumesAtTheFinalGuess) {
   const Graph g = resume_gnm();
   const Partition p = resume_gnm_partition(g);
   const Partition coarse = coarsen_pairs(g, p);
@@ -356,8 +369,8 @@ TEST(PaSolverResume, LaterPartitionResumesAtHalfTheFinalGuess) {
     cfg.seed = 17;
     PaSolver solver(eng, cfg);
     solver.set_partition(p);
-    const int resume = solver.structures().final_guess / 2;
-    ASSERT_GE(resume, 2);
+    const int resume = solver.structures().final_guess;
+    ASSERT_GE(resume, 4);
     solver.set_partition(*next);
     const auto& st = solver.structures();
     for (int i = 0; i < next->num_parts; ++i)
@@ -366,6 +379,64 @@ TEST(PaSolverResume, LaterPartitionResumesAtHalfTheFinalGuess) {
     shortcut::validate_shortcut(g, st.t, *next, st.sc);
     expect_aggregate_matches_fold(solver, *next);
   }
+}
+
+// The start guess gets one claim → verify → freeze attempt, in which every
+// part claims: a part freezes there exactly when that claim gives it at most
+// 3·κ blocks. Every other part moves on to 2κ, even one that a second,
+// thinner attempt at κ would have frozen. Pinned on a solver's first
+// partition (start 1) and on one resumed at 2 after a finer partition.
+TEST(PaSolverResume, StartGuessGetsOneAttempt) {
+  const Graph g = resume_gnm();
+  const Partition p = resume_gnm_partition(g);
+  Rng rng(484);
+  Partition fine = graph::random_bfs_partition(g, 80, rng);
+  fine.elect_min_id_leaders();
+  for (const bool resumed : {false, true}) {
+    sim::Engine eng(g);
+    PaSolverConfig cfg;
+    cfg.seed = 17;
+    PaSolver solver(eng, cfg);
+    if (resumed) solver.set_partition(fine);
+    const int start = std::max(1, solver.structures().final_guess);
+    ASSERT_EQ(start, resumed ? 2 : 1);
+    solver.set_partition(p);
+    const auto& st = solver.structures();
+    const std::vector<char> all(p.num_parts, 1);
+    const auto first = corefast_claim(eng, p, st.div, st.t, all, start);
+    const auto blocks = shortcut::blocks_per_part(g, st.t, p, first);
+    int moved_on = 0;
+    for (int i = 0; i < p.num_parts; ++i) {
+      const bool fits = blocks[i] <= 3 * start;
+      EXPECT_EQ(st.frozen_at_guess[i] == start, fits)
+          << "start " << start << ", part " << i;
+      moved_on += !fits;
+    }
+    EXPECT_GT(moved_on, 0) << "start " << start
+                           << ": every part froze in the first attempt";
+  }
+}
+
+// A singleton partition restarts the doubling at 1 whatever the partition
+// before it stopped at: every part is one node and freezes there.
+TEST(PaSolverResume, SingletonPartitionRestartsAtOne) {
+  const Graph g = resume_gnm();
+  sim::Engine eng(g);
+  PaSolverConfig cfg;
+  cfg.seed = 17;
+  PaSolver solver(eng, cfg);
+  solver.set_partition(resume_gnm_partition(g));
+  ASSERT_GE(solver.structures().final_guess, 4);
+  std::vector<int> own(g.n());
+  for (int v = 0; v < g.n(); ++v) own[v] = v;
+  Partition singletons = Partition::from_labels(std::move(own));
+  singletons.elect_min_id_leaders();
+  solver.set_partition(singletons);
+  const auto& st = solver.structures();
+  EXPECT_EQ(st.final_guess, 1);
+  for (int i = 0; i < singletons.num_parts; ++i)
+    EXPECT_EQ(st.frozen_at_guess[i], 1) << "part " << i;
+  expect_aggregate_matches_fold(solver, singletons);
 }
 
 // max(1, ·) floors the resume: a solver whose last partition stopped at
